@@ -1,49 +1,51 @@
+//go:build go1.23
+
 package funcsim
 
 import (
 	"context"
 	"fmt"
+	"iter"
 	"runtime/debug"
-	"sync"
 
 	"doppelganger/internal/memdata"
 )
 
-// The gang serializes memory accesses with a token ring: exactly one core
-// goroutine holds the grant token at a time, and after its turn it hands the
-// token directly to the next runnable core in rotation order. There is no
-// scheduler goroutine in the loop, so each access costs one goroutine switch
-// (the old dedicated scheduler cost two: kernel -> scheduler -> next kernel),
-// and a phase where a single core is the only runnable one costs none at all.
-// The rotation order is identical to the old scheduler's round-robin —
-// including barrier release happening exactly at rotation boundaries and a
-// finished or crashed core being retired at its own rotation slot — so the
-// deterministic interleaving, and therefore every simulated result, is
-// bit-identical.
+// The gang serializes memory accesses in a fixed rotation. Each kernel runs
+// as a coroutine (iter.Pull), and the goroutine that called Run is the
+// driver: it resumes whichever core the last turn holder passed the turn to.
+// A running coroutine therefore always holds the turn, and a handoff is two
+// direct coroutine switches (core -> driver -> next core) that never touch
+// the scheduler's run queue; a phase where a single core is the only
+// runnable one switches not at all. The rotation is a fixed round-robin:
+// barrier groups are released exactly at rotation boundaries, and a finished
+// or crashed core retires at its own rotation slot, so the interleaving, and
+// therefore every simulated result, is deterministic.
 //
-// All rotation bookkeeping (doneFlags, atBarrier, live counts) is guarded by
-// the token itself: only the holder touches it, and the channel handoff
-// publishes it to the next holder.
+// Only one coroutine or the driver runs at a time, and every switch orders
+// memory, so the rotation bookkeeping needs no lock.
 type gang struct {
 	ctxs      []*CoreCtx
 	doneFlags []bool
 	atBarrier []bool
 	live      int
+	cur       int // core holding the turn
 	// Scratch for releaseReadyGroups, indexed by barrier group.
 	liveInGroup []int
 	waitInGroup []int
-	// allDone is closed by the last core to retire; the Run caller parks on
-	// it instead of participating in the rotation.
-	allDone chan struct{}
+	// done is the run's cancellation signal (nil for a context that is never
+	// cancelled); err is the first kernel panic.
+	done <-chan struct{}
+	err  error
 }
 
-// nextRunnable returns the index of the core the token should go to after
+// nextRunnable returns the index of the core the turn should go to after
 // from's turn: the next live, non-waiting core in rotation order. Crossing
 // the end of the core list is the rotation boundary, where barrier groups
-// whose live cores are all waiting get released — exactly where the old
-// dedicated scheduler did it between rotations. Returns -1 only if every
-// live core is parked at a barrier that can no longer complete (a kernel
-// bug: the run hangs, as it always did, but without spinning).
+// whose live cores are all waiting get released. While any core is
+// live there is a runnable one after the boundary: if every live core
+// waits, every group's waiting count equals its live count and the whole
+// gang is released.
 func (g *gang) nextRunnable(from int) int {
 	for i := from + 1; i < len(g.ctxs); i++ {
 		if !g.doneFlags[i] && !g.atBarrier[i] {
@@ -60,10 +62,8 @@ func (g *gang) nextRunnable(from int) int {
 }
 
 // releaseReadyGroups releases every barrier group whose live cores have all
-// reached the barrier. The barrierLeave channels are buffered, so release
-// never blocks — a released core picks the signal up when it parks (or, when
-// a lone core released its own group, already holds the token and consumes
-// the signal immediately).
+// reached the barrier. A released core runs again once the rotation reaches
+// it.
 func (g *gang) releaseReadyGroups() {
 	for i := range g.liveInGroup {
 		g.liveInGroup[i], g.waitInGroup[i] = 0, 0
@@ -82,115 +82,86 @@ func (g *gang) releaseReadyGroups() {
 			continue
 		}
 		for i, c := range g.ctxs {
-			if g.atBarrier[i] && c.group == grp {
+			if c.group == grp {
 				g.atBarrier[i] = false
-				c.barrierLeave <- struct{}{}
 			}
 		}
 	}
 }
 
+// canceled polls the run's context; a nil done channel never fires.
+func (g *gang) canceled() bool {
+	select {
+	case <-g.done:
+		return true
+	default:
+		return false
+	}
+}
+
 // CoreCtx is the per-core handle a workload kernel uses to touch memory.
-// Kernels run as goroutines, but every memory access is serialized through
-// the grant token in deterministic round-robin order, so functional results
-// (and therefore application error) are reproducible run-to-run.
+// Kernels run as coroutines that take turns in deterministic round-robin
+// order, one memory access per turn, so functional results (and therefore
+// application error) are reproducible run-to-run.
 type CoreCtx struct {
 	id    int
 	group int // barrier group (program id in multiprogrammed runs)
 	h     *Hierarchy
 	g     *gang
-	grant chan struct{}
-	// barrierLeave carries the barrier-release signal; buffered so the
-	// releasing token holder never blocks on it.
-	barrierLeave chan struct{}
-	// granted tracks (on this core's goroutine only) whether the token is
-	// currently held; it stays true across turns when this core is the only
-	// runnable one, eliding the channel round-trip entirely.
-	granted bool
-	// cancel is closed by the runner when its context is cancelled; nil for
-	// non-context runs, which keep the bare channel operations below.
-	cancel chan struct{}
+	// yield suspends this core's coroutine until the driver resumes it; it
+	// reports false once the run is cancelled.
+	yield func(struct{}) bool
 }
 
-// runCanceled is the panic token a kernel goroutine unwinds with when the
-// run's context is cancelled; the goroutine wrapper recovers it. Kernels
-// block on token rendezvous, so panic-unwind is the only way to free them
+// runCanceled is the panic a kernel unwinds with when the run's context is
+// cancelled; run recovers it. Panic-unwind frees a kernel suspended mid-turn
 // without threading a context through every workload kernel.
 type runCanceled struct{}
 
 // Core returns the core id of this context.
 func (c *CoreCtx) Core() int { return c.id }
 
-// acquireOK waits for the token, reporting false if the run was cancelled
-// instead. A core that kept the token after its last turn returns at once.
-func (c *CoreCtx) acquireOK() bool {
-	if c.granted {
-		return true
-	}
-	if c.cancel == nil {
-		<-c.grant
-	} else {
-		select {
-		case <-c.grant:
-		case <-c.cancel:
-			return false
+// pass ends this core's turn and hands the turn to the next runnable core,
+// returning when this core's next turn begins. When this core is itself the
+// next runnable one it simply keeps the turn (polling cancellation, so a
+// lone cancellable kernel still unwinds between accesses).
+func (c *CoreCtx) pass() {
+	g := c.g
+	next := g.nextRunnable(c.id)
+	if next == c.id {
+		if g.canceled() {
+			panic(runCanceled{})
 		}
+		return
 	}
-	c.granted = true
-	return true
-}
-
-// acquire waits for the token, unwinding if the run is cancelled.
-func (c *CoreCtx) acquire() {
-	if !c.acquireOK() {
+	g.cur = next
+	if !c.yield(struct{}{}) {
 		panic(runCanceled{})
 	}
 }
 
-// passOK hands the token to the next runnable core, reporting false if the
-// run was cancelled instead. When this core is itself the next runnable one
-// it simply keeps the token (polling cancellation so a lone cancellable
-// kernel still unwinds between accesses).
-func (c *CoreCtx) passOK() bool {
-	next := c.g.nextRunnable(c.id)
-	if next == c.id {
-		if c.cancel != nil {
-			select {
-			case <-c.cancel:
-				return false
-			default:
+// run executes the kernel on this core's coroutine and retires the core at
+// the slot where the kernel returned or crashed. A crash is captured here,
+// inside the coroutine, where the kernel's stack is still on hand. A
+// cancelled kernel does not retire: the driver is already abandoning the run.
+func (c *CoreCtx) run(kernel func(*CoreCtx)) {
+	g := c.g
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(runCanceled); ok {
+				return
+			}
+			if g.err == nil { // keep the first crash's stack
+				g.err = fmt.Errorf("funcsim: kernel %d panicked: %v\n%s", c.id, r, debug.Stack())
 			}
 		}
-		return true
-	}
-	c.granted = false
-	if next < 0 {
-		return true // kernel-level barrier deadlock: drop the token
-	}
-	nc := c.g.ctxs[next]
-	if c.cancel == nil {
-		nc.grant <- struct{}{}
-		return true
-	}
-	select {
-	case nc.grant <- struct{}{}:
-		return true
-	case <-c.cancel:
-		return false
-	}
-}
-
-// pass hands the token on, unwinding if the run is cancelled.
-func (c *CoreCtx) pass() {
-	if !c.passOK() {
-		panic(runCanceled{})
-	}
-}
-
-func (c *CoreCtx) turn(fn func()) {
-	c.acquire()
-	fn()
-	c.pass()
+		g.doneFlags[c.id] = true
+		g.live--
+		if g.live > 0 {
+			g.cur = g.nextRunnable(c.id)
+		}
+	}()
+	kernel(c)
 }
 
 // Work accounts n non-memory instructions (arithmetic between accesses).
@@ -206,68 +177,60 @@ func (c *CoreCtx) Work(n int) {
 // data-parallel benchmarks. Cores that have already finished do not
 // participate; in multiprogrammed runs each program is its own group.
 func (c *CoreCtx) Barrier() {
-	c.acquire()
 	c.g.atBarrier[c.id] = true
-	c.pass()
-	if c.cancel == nil {
-		<-c.barrierLeave
-		return
-	}
-	// A core can park here for many rotations while the rest of its group
-	// catches up, so the release must also race against cancellation.
-	select {
-	case <-c.barrierLeave:
-	case <-c.cancel:
-		panic(runCanceled{})
-	}
+	c.pass() // a waiting core is not runnable, so this returns on release
 }
 
 // LoadF32 reads a float32 through the hierarchy.
 func (c *CoreCtx) LoadF32(addr memdata.Addr) float32 {
-	var v float32
-	c.turn(func() { v = c.h.LoadF32(c.id, addr) })
+	v := c.h.LoadF32(c.id, addr)
+	c.pass()
 	return v
 }
 
 // StoreF32 writes a float32 through the hierarchy.
 func (c *CoreCtx) StoreF32(addr memdata.Addr, v float32) {
-	c.turn(func() { c.h.StoreF32(c.id, addr, v) })
+	c.h.StoreF32(c.id, addr, v)
+	c.pass()
 }
 
 // LoadF64 reads a float64 through the hierarchy.
 func (c *CoreCtx) LoadF64(addr memdata.Addr) float64 {
-	var v float64
-	c.turn(func() { v = c.h.LoadF64(c.id, addr) })
+	v := c.h.LoadF64(c.id, addr)
+	c.pass()
 	return v
 }
 
 // StoreF64 writes a float64 through the hierarchy.
 func (c *CoreCtx) StoreF64(addr memdata.Addr, v float64) {
-	c.turn(func() { c.h.StoreF64(c.id, addr, v) })
+	c.h.StoreF64(c.id, addr, v)
+	c.pass()
 }
 
 // LoadI32 reads an int32 through the hierarchy.
 func (c *CoreCtx) LoadI32(addr memdata.Addr) int32 {
-	var v int32
-	c.turn(func() { v = c.h.LoadI32(c.id, addr) })
+	v := c.h.LoadI32(c.id, addr)
+	c.pass()
 	return v
 }
 
 // StoreI32 writes an int32 through the hierarchy.
 func (c *CoreCtx) StoreI32(addr memdata.Addr, v int32) {
-	c.turn(func() { c.h.StoreI32(c.id, addr, v) })
+	c.h.StoreI32(c.id, addr, v)
+	c.pass()
 }
 
 // LoadU8 reads a byte through the hierarchy.
 func (c *CoreCtx) LoadU8(addr memdata.Addr) uint8 {
-	var v uint8
-	c.turn(func() { v = c.h.LoadU8(c.id, addr) })
+	v := c.h.LoadU8(c.id, addr)
+	c.pass()
 	return v
 }
 
 // StoreU8 writes a byte through the hierarchy.
 func (c *CoreCtx) StoreU8(addr memdata.Addr, v uint8) {
-	c.turn(func() { c.h.StoreU8(c.id, addr, v) })
+	c.h.StoreU8(c.id, addr, v)
+	c.pass()
 }
 
 // Run executes one kernel per core in lockstep: memory accesses are granted
@@ -293,123 +256,58 @@ func RunGrouped(h *Hierarchy, kernels []func(*CoreCtx), groups []int) {
 }
 
 // RunGroupedContext is RunGrouped with cooperative cancellation and panic
-// containment. When ctx is cancelled the token stops circulating, every
-// kernel goroutine unwinds at its next rendezvous, and ctx.Err() is
-// returned; the simulation state is then abandoned mid-flight (callers
-// discard it). A kernel that panics is captured on its own goroutine and
-// returned as an error carrying the stack — the crash fails this run, never
-// the process; the remaining kernels complete normally (a crashed core
-// counts as finished, so its barrier group is not stranded). With a
-// non-cancellable context the cancellation machinery is inert: the per-core
-// cancel channel stays nil and every rendezvous keeps its bare channel
-// operation.
+// containment. The driver polls ctx between turns; when it is cancelled,
+// every kernel unwinds from the turn it is suspended in, and ctx.Err() is
+// returned once all of them have exited; the simulation state is then
+// abandoned mid-flight (callers discard it). A kernel that panics is
+// captured on its own coroutine and returned as an error carrying the stack
+// — the crash fails this run, never the process; the remaining kernels
+// complete normally (a crashed core counts as finished, so its barrier group
+// is not stranded).
 func RunGroupedContext(ctx context.Context, h *Hierarchy, kernels []func(*CoreCtx), groups []int) error {
 	n := len(kernels)
 	if n == 0 {
 		return nil
 	}
-	ctxDone := ctx.Done()
-	var cancelCh chan struct{}
-	if ctxDone != nil {
-		cancelCh = make(chan struct{})
-	}
-	var panicMu sync.Mutex
-	var panicErr error
-	ctxs := make([]*CoreCtx, n)
 	maxGroup := 0
-	for i := 0; i < n; i++ {
-		grp := 0
-		if groups != nil {
-			grp = groups[i]
-		}
-		if grp > maxGroup {
-			maxGroup = grp
-		}
-		ctxs[i] = &CoreCtx{
-			id: i, group: grp, h: h,
-			grant:        make(chan struct{}),
-			barrierLeave: make(chan struct{}, 1),
-			cancel:       cancelCh,
-		}
+	for _, grp := range groups {
+		maxGroup = max(maxGroup, grp)
 	}
 	g := &gang{
-		ctxs:        ctxs,
+		ctxs:        make([]*CoreCtx, n),
 		doneFlags:   make([]bool, n),
 		atBarrier:   make([]bool, n),
 		live:        n,
 		liveInGroup: make([]int, maxGroup+1),
 		waitInGroup: make([]int, maxGroup+1),
-		allDone:     make(chan struct{}),
+		done:        ctx.Done(),
 	}
-	finished := make([]chan struct{}, n)
-	for i := 0; i < n; i++ {
-		ctxs[i].g = g
-		finished[i] = make(chan struct{})
-		go func(i int) {
-			c := ctxs[i]
-			defer close(finished[i])
-			defer func() {
-				if r := recover(); r != nil {
-					if _, ok := r.(runCanceled); ok {
-						return // cancelled: the runner joins via finished
-					}
-					panicMu.Lock()
-					if panicErr == nil { // keep the first crash's stack
-						panicErr = fmt.Errorf("funcsim: kernel %d panicked: %v\n%s", i, r, debug.Stack())
-					}
-					panicMu.Unlock()
-					// A mid-turn crash still holds the token, so the retire
-					// handshake below runs at this very rotation slot; an
-					// out-of-turn crash waits for its next slot like normal
-					// completion.
-				}
-				if !c.acquireOK() {
-					return
-				}
-				g.doneFlags[c.id] = true
-				g.live--
-				if g.live == 0 {
-					close(g.allDone)
-					return
-				}
-				c.passOK()
-			}()
-			kernels[i](c)
-		}(i)
+	resume := make([]func() (struct{}, bool), n)
+	stop := make([]func(), n)
+	// Stopping a suspended coroutine makes its yield report false, so its
+	// kernel unwinds; stopping a finished or unstarted one is a no-op.
+	defer func() {
+		for _, s := range stop {
+			s()
+		}
+	}()
+	for i, kernel := range kernels {
+		c := &CoreCtx{id: i, h: h, g: g}
+		if groups != nil {
+			c.group = groups[i]
+		}
+		g.ctxs[i] = c
+		resume[i], stop[i] = iter.Pull(func(yield func(struct{}) bool) {
+			c.yield = yield
+			c.run(kernel)
+		})
 	}
-	// Seed the token: core 0 is live and runnable at the start, matching the
-	// old scheduler's first grant.
-	if cancelCh == nil {
-		ctxs[0].grant <- struct{}{}
-		<-g.allDone
-	} else {
-		select {
-		case ctxs[0].grant <- struct{}{}:
-		case <-ctxDone:
-			close(cancelCh)
-			for i := 0; i < n; i++ {
-				<-finished[i]
-			}
+	// Core 0 takes the first turn.
+	for g.live > 0 {
+		if g.canceled() {
 			return ctx.Err()
 		}
-		select {
-		case <-ctxDone:
-			// Every live kernel is parked at (or computing towards) a token
-			// or barrier rendezvous that also selects on cancel, so closing
-			// it unwinds them all; wait for the unwind so no goroutine
-			// outlives the call.
-			close(cancelCh)
-			for i := 0; i < n; i++ {
-				<-finished[i]
-			}
-			return ctx.Err()
-		case <-g.allDone:
-		}
+		resume[g.cur]()
 	}
-	for i := 0; i < n; i++ {
-		<-finished[i]
-	}
-	panicMu.Lock()
-	defer panicMu.Unlock()
-	return panicErr
+	return g.err
 }

@@ -13,7 +13,7 @@ const replayPollEvery = 4096
 // ReplayStreamContext drives the hierarchy through every recorded access in
 // the recorder's global order, reproducing the live run's exact functional
 // state evolution (including the shared LLC's observed interleaving) without
-// executing kernels or gang-scheduling goroutines. The hierarchy must have
+// executing kernels or the gang scheduler. The hierarchy must have
 // been built over a clone of the recording run's initial memory image and
 // with no recorder of its own.
 //
