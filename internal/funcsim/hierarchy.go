@@ -615,15 +615,17 @@ func (h *Hierarchy) record(c int, addr memdata.Addr, write bool, size int, v uin
 	}
 }
 
-// Replay performs one traced memory operation for core c: loads read
-// through the hierarchy (value discarded), stores apply the recorded
-// payload. The timing simulator replays recorded traces this way, keeping
-// the functional state (and thus Doppelgänger map computations) live.
+// Replay performs one traced memory operation for core c: loads go through
+// the hierarchy without assembling a value (nothing reads it), stores apply
+// the recorded payload. The timing simulator replays recorded traces this
+// way, keeping the functional state (and thus Doppelgänger map
+// computations) live.
 func (h *Hierarchy) Replay(c int, r trace.Record) {
 	if r.Write {
 		h.storeBytes(c, r.Addr, int(r.Size), r.Val)
 	} else {
-		h.loadBytes(c, r.Addr, int(r.Size))
+		h.access(c, r.Addr, false)
+		h.record(c, r.Addr, false, int(r.Size), 0)
 	}
 }
 

@@ -85,7 +85,7 @@ func TestChaosExactlyOnceBitIdentical(t *testing.T) {
 		CorruptPayload: func(shard int, key string, payload []byte) []byte {
 			if chaosHash(shard, key, "corrupt")%4 == 0 && strikeOnce(shard, key, "corrupt") {
 				mutated := append([]byte(nil), payload...)
-				mutated[int(chaosHash(shard, key, "byte"))%len(mutated)] ^= 0xff
+				mutated[chaosHash(shard, key, "byte")%uint64(len(mutated))] ^= 0xff
 				return mutated
 			}
 			return payload

@@ -8,7 +8,6 @@
 package timesim
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 
@@ -174,7 +173,7 @@ func (r *robRing) push(e robEntry) {
 // ready computes the cycle at which this core's next memory op can issue,
 // honoring dispatch width, ROB occupancy and MSHR limits. It does not touch
 // shared state, so the scheduler can order cores by it.
-func (cs *coreState) ready(cfg Config) float64 {
+func (cs *coreState) ready(cfg *Config) float64 {
 	r := cs.t[cs.pos]
 	t := cs.dispatch + float64(r.Gap)/float64(cfg.Width)
 	nextInstr := cs.instr + uint64(r.Gap) + 1
@@ -190,10 +189,12 @@ func (cs *coreState) ready(cfg Config) float64 {
 		cs.rob.popFront()
 	}
 	cs.robStall += t - base
-	// MSHRs: at most MSHRs memory ops in flight.
+	// MSHRs: at most MSHRs memory ops in flight. Completions are monotone,
+	// so the ops still in flight at t are a suffix of the ROB, and the op
+	// must wait until the MSHRs-th newest one completes.
 	base = t
-	for inflight(&cs.rob, t) >= cfg.MSHRs {
-		t = earliestAfter(&cs.rob, t)
+	if m := cfg.MSHRs; m > 0 && cs.rob.n >= m {
+		t = max(t, cs.rob.at(cs.rob.n-m).complete)
 	}
 	cs.mshrStall += t - base
 	return t
@@ -211,29 +212,47 @@ func inflight(rob *robRing, t float64) int {
 	return n
 }
 
-func earliestAfter(rob *robRing, t float64) float64 {
-	for i := 0; i < rob.n; i++ {
-		if c := rob.at(i).complete; c > t {
-			return c
-		}
-	}
-	return t
-}
-
-// coreQueue is a priority queue of cores by next-issue time.
+// coreQueue is a binary min-heap of cores by next-issue time: the sift of
+// container/heap specialized to two parallel slices. Cores tied on time
+// leave in the order this exact sift produces, and that order decides which
+// core touches the shared LLC first, so any other queue (a lowest-index
+// scan, say) changes simulated results.
 type coreQueue struct {
 	ids   []int
 	times []float64
 }
 
-func (q *coreQueue) Len() int           { return len(q.ids) }
-func (q *coreQueue) Less(i, j int) bool { return q.times[i] < q.times[j] }
-func (q *coreQueue) Swap(i, j int) {
+func (q *coreQueue) swap(i, j int) {
 	q.ids[i], q.ids[j] = q.ids[j], q.ids[i]
 	q.times[i], q.times[j] = q.times[j], q.times[i]
 }
-func (q *coreQueue) Push(x interface{}) { panic("fixed-size queue") }
-func (q *coreQueue) Pop() interface{}   { panic("fixed-size queue") }
+
+// init establishes the heap order, as heap.Init does.
+func (q *coreQueue) init() {
+	for i := len(q.ids)/2 - 1; i >= 0; i-- {
+		q.down(i)
+	}
+}
+
+// down sifts entry i toward the leaves, as heap.Fix does. The event loop
+// only ever replaces the root, and a root never needs to sift up.
+func (q *coreQueue) down(i int) {
+	n := len(q.ids)
+	for {
+		j := 2*i + 1
+		if j >= n {
+			return
+		}
+		if j2 := j + 1; j2 < n && q.times[j2] < q.times[j] {
+			j = j2
+		}
+		if !(q.times[j] < q.times[i]) {
+			return
+		}
+		q.swap(i, j)
+		i = j
+	}
+}
 
 // Run replays the traces against a fresh hierarchy whose LLC organization
 // is built by llcb over a clone of the initial memory image.
@@ -299,10 +318,10 @@ func RunContext(ctx context.Context, tr *trace.Recorder, initial *memdata.Store,
 	for c, cs := range cores {
 		if cs.pos < len(cs.t) {
 			q.ids = append(q.ids, c)
-			q.times = append(q.times, cs.ready(cfg))
+			q.times = append(q.times, cs.ready(&cfg))
 		}
 	}
-	heap.Init(q)
+	q.init()
 
 	var llcFree, memFree float64
 	var wbDrain []float64 // in-flight writeback completion times (sorted)
@@ -315,7 +334,7 @@ func RunContext(ctx context.Context, tr *trace.Recorder, initial *memdata.Store,
 	}
 	ctxDone := ctx.Done()
 	var iter uint
-	for q.Len() > 0 {
+	for len(q.ids) > 0 {
 		if ctxDone != nil {
 			// Poll cheaply: one counter increment per event, one channel check
 			// every 4096 events.
@@ -429,17 +448,14 @@ func RunContext(ctx context.Context, tr *trace.Recorder, initial *memdata.Store,
 		cs.pos++
 
 		if cs.pos < len(cs.t) {
-			q.times[0] = cs.ready(cfg)
-			heap.Fix(q, 0)
+			q.times[0] = cs.ready(&cfg)
 		} else {
-			last := q.Len() - 1
-			q.Swap(0, last)
+			last := len(q.ids) - 1
+			q.swap(0, last)
 			q.ids = q.ids[:last]
 			q.times = q.times[:last]
-			if last > 0 {
-				heap.Fix(q, 0)
-			}
 		}
+		q.down(0)
 	}
 
 	if cfg.Metrics != nil {

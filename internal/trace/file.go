@@ -46,10 +46,10 @@ import (
 //	order:       count (== total records), then one core id per access
 //	output:      count, then count × u64 float bits
 //
-// The decoder never trusts a length or count from the file: payloads are
-// read in bounded chunks so a hostile length fails at the true EOF, and
-// every in-payload count is checked against the bytes actually present
-// before anything proportional to it is allocated.
+// The decoder never trusts a length or count from the file. The file is
+// read once into one buffer; every section length is checked against the
+// bytes in that buffer, and every in-payload count against the bytes of
+// its payload, before anything proportional to it is allocated.
 const (
 	captureMagic   = "DGTC"
 	CaptureVersion = 1
@@ -71,9 +71,7 @@ const (
 	maxNameLen   = 4096
 	maxRegions   = 1 << 16
 	maxCores     = 1024
-	capCapRec    = 1 << 16 // initial record-slice capacity
-	readChunk    = 64 << 10
-	maxSectionSz = 1 << 31 // sanity bound on a claimed section length
+	maxSectionSz = 1 << 31 // sanity bound on a capture, and so on any section in it
 )
 
 var crcTable = crc64.MakeTable(crc64.ECMA)
@@ -333,45 +331,42 @@ func (c *Capture) WriteFileFS(fsys FS, path string) error {
 
 // --- decoding ---
 
-// hashReader counts and digests every byte it passes through.
-type hashReader struct {
-	r   io.Reader
-	sum uint64
-}
-
-func (h *hashReader) Read(p []byte) (int, error) {
-	n, err := h.r.Read(p)
-	h.sum = crc64.Update(h.sum, crcTable, p[:n])
-	return n, err
-}
-
-func (h *hashReader) ReadByte() (byte, error) {
-	var b [1]byte
-	_, err := io.ReadFull(h, b[:])
-	return b[0], err
-}
-
-// readCapped reads exactly n claimed bytes, growing in bounded chunks so a
-// hostile length allocates at most one chunk beyond the bytes actually
-// present before the short read surfaces.
-func readCapped(r io.Reader, n uint64) ([]byte, error) {
-	if n > maxSectionSz {
-		return nil, fmt.Errorf("implausible section length %d", n)
-	}
-	buf := make([]byte, 0, min64(n, readChunk))
-	var chunk [readChunk]byte
-	for uint64(len(buf)) < n {
-		want := n - uint64(len(buf))
-		if want > readChunk {
-			want = readChunk
+// readAll reads r to EOF into one buffer. size is the expected length
+// (from FS.Stat, or what the reader reports about itself): when it is
+// right, the buffer is allocated once at exactly that size. It is only a
+// hint. A reader that ends sooner yields the bytes it delivered, so a
+// truncated capture fails to decode; one that goes on doubles the buffer
+// until EOF. More than maxSectionSz bytes are refused.
+func readAll(r io.Reader, size int64) ([]byte, error) {
+	size = min(max(size, 0), maxSectionSz)
+	// The spare byte takes the read that reports EOF, so a right size never
+	// grows the buffer.
+	buf := make([]byte, 0, size+1)
+	for {
+		if len(buf) == cap(buf) {
+			if len(buf) > maxSectionSz {
+				return nil, fmt.Errorf("longer than %d bytes", int64(maxSectionSz))
+			}
+			buf = append(make([]byte, 0, min(max(2*cap(buf), 512), maxSectionSz+1)), buf...)
 		}
-		k, err := io.ReadFull(r, chunk[:want])
-		buf = append(buf, chunk[:k]...)
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
 		if err != nil {
-			return nil, fmt.Errorf("section truncated at byte %d of claimed %d: %w", len(buf), n, err)
+			return nil, err
 		}
 	}
-	return buf, nil
+}
+
+// sizeHint is the number of bytes r says it holds (bytes.Reader and the
+// like report it), or 0 when it cannot tell.
+func sizeHint(r io.Reader) int64 {
+	if l, ok := r.(interface{ Len() int }); ok {
+		return int64(l.Len())
+	}
+	return 0
 }
 
 // payload is a bounds-checked cursor over one section's bytes.
@@ -391,13 +386,30 @@ func (p *payload) uvarint() (uint64, error) {
 	return v, nil
 }
 
-func (p *payload) varint() (int64, error) {
-	v, n := binary.Varint(p.b[p.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("truncated varint at offset %d", p.off)
+// uvarintAt decodes the uvarint at b[off:] and returns it with the offset
+// just past it, or next < 0 when b[off:] holds no complete uvarint. The
+// record and order loops decode with it on a local offset, and take the
+// one-byte case (nearly every field) without calling binary.Uvarint.
+func uvarintAt(b []byte, off int) (v uint64, next int) {
+	if off < len(b) {
+		if c := b[off]; c < 0x80 {
+			return uint64(c), off + 1
+		}
 	}
-	p.off += n
-	return v, nil
+	return uvarintAtLong(b, off)
+}
+
+// uvarintAtLong is uvarintAt's multi-byte case, kept out of line so the
+// one-byte path stays short.
+func uvarintAtLong(b []byte, off int) (uint64, int) {
+	if off >= len(b) {
+		return 0, -1
+	}
+	v, n := binary.Uvarint(b[off:])
+	if n <= 0 {
+		return 0, -1
+	}
+	return v, off + n
 }
 
 func (p *payload) u64() (uint64, error) {
@@ -453,7 +465,7 @@ func (p *payload) done() error {
 // per-section CRCs and the whole-file digest. Every failure names what was
 // wrong and where; no input makes it panic or allocate unboundedly.
 func ReadCapture(r io.Reader) (*Capture, error) {
-	return readCapture(r, false)
+	return readCapture(r, sizeHint(r), false)
 }
 
 // ReadCaptureOutput decodes only a capture's header, annotations and output
@@ -463,112 +475,114 @@ func ReadCapture(r io.Reader) (*Capture, error) {
 // consumers that serve a capture's result without replaying it. The
 // cross-section order/stream consistency check is necessarily skipped.
 func ReadCaptureOutput(r io.Reader) (*Capture, error) {
-	return readCapture(r, true)
+	return readCapture(r, sizeHint(r), true)
 }
 
-func readCapture(r io.Reader, outputOnly bool) (*Capture, error) {
+// readCapture checks the preamble, then reads the rest of the capture
+// (size bytes in all, if the hint is right) into one buffer and decodes it.
+func readCapture(r io.Reader, size int64, outputOnly bool) (*Capture, error) {
 	var pre [16]byte
 	if _, err := io.ReadFull(r, pre[:]); err != nil {
 		return nil, fmt.Errorf("trace: capture preamble: %w", err)
 	}
-	if string(pre[:4]) != captureMagic {
-		return nil, fmt.Errorf("trace: bad capture magic %q (want %q)", pre[:4], captureMagic)
+	if err := checkPreamble(pre); err != nil {
+		return nil, fmt.Errorf("trace: %w", err)
 	}
-	if v := binary.LittleEndian.Uint16(pre[4:]); v != CaptureVersion {
-		return nil, fmt.Errorf("trace: unsupported capture version %d (this reader handles %d)", v, CaptureVersion)
+	body, err := readAll(r, size-int64(len(pre)))
+	if err != nil {
+		return nil, fmt.Errorf("trace: capture body: %w", err)
 	}
-	if fl := binary.LittleEndian.Uint16(pre[6:]); fl != 0 {
-		return nil, fmt.Errorf("trace: unknown capture flags %#x (reserved, must be zero)", fl)
-	}
-	wantDigest := binary.LittleEndian.Uint64(pre[8:])
+	return decodeCapture(preambleDigest(pre), body, outputOnly)
+}
 
-	hr := &hashReader{r: r}
-	c := &Capture{}
-	stream := uint64(0)
-	want := []byte{secHeader, secAnnotations, secMemory, secTraces, secOrder, secOutput, secEnd}
-	for _, wantID := range want {
-		id, err := hr.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("trace: capture truncated before section %d: %w", wantID, err)
+// sectionOrder is the required order of section ids.
+var sectionOrder = [...]byte{secHeader, secAnnotations, secMemory, secTraces, secOrder, secOutput, secEnd}
+
+// decodeCapture decodes everything after a capture's preamble, held in buf;
+// digest is the whole-file CRC64 the preamble claims. Everything that needs
+// no decoding is checked first, on buf itself and without copying: each
+// section's frame (id, and length against the bytes that are actually
+// there) and CRC32, the digest, and the absence of trailing bytes. A
+// truncated, torn or corrupted file is therefore rejected before anything
+// is allocated for its contents. Only then are the section bodies decoded,
+// each collection allocated once at a count its payload has been checked
+// to hold.
+func decodeCapture(digest uint64, buf []byte, outputOnly bool) (*Capture, error) {
+	var bodies [len(sectionOrder)][]byte
+	off := 0
+	for i, wantID := range sectionOrder {
+		if off >= len(buf) {
+			return nil, fmt.Errorf("trace: capture truncated before section %d: %w", wantID, io.ErrUnexpectedEOF)
 		}
-		if id != wantID {
+		if id := buf[off]; id != wantID {
 			return nil, fmt.Errorf("trace: capture section %d out of order (want %d)", id, wantID)
 		}
-		length, err := binary.ReadUvarint(hr)
-		if err != nil {
-			return nil, fmt.Errorf("trace: capture section %d length: %w", id, err)
+		length, n := binary.Uvarint(buf[off+1:])
+		if n <= 0 {
+			return nil, fmt.Errorf("trace: capture section %d length: truncated or overlong uvarint", wantID)
 		}
-		body, err := readCapped(hr, length)
-		if err != nil {
-			return nil, fmt.Errorf("trace: capture section %d: %w", id, err)
+		if length > maxSectionSz {
+			return nil, fmt.Errorf("trace: capture section %d: implausible section length %d", wantID, length)
 		}
-		var crcb [4]byte
-		if _, err := io.ReadFull(hr, crcb[:]); err != nil {
-			return nil, fmt.Errorf("trace: capture section %d crc: %w", id, err)
+		start := off + 1 + n
+		if have := uint64(len(buf) - start); have < length+4 {
+			return nil, fmt.Errorf("trace: capture section %d truncated: claims %d payload bytes + crc, %d present: %w",
+				wantID, length, have, io.ErrUnexpectedEOF)
 		}
-		if got, wantCRC := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(crcb[:]); got != wantCRC {
-			return nil, fmt.Errorf("trace: capture section %d crc mismatch (got %08x, want %08x)", id, got, wantCRC)
+		end := start + int(length)
+		body := buf[start:end]
+		if got, want := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(buf[end:]); got != want {
+			return nil, fmt.Errorf("trace: capture section %d crc mismatch (got %08x, want %08x)", wantID, got, want)
 		}
+		if wantID == secEnd && length != 0 {
+			return nil, fmt.Errorf("trace: capture section %d: non-empty end section", wantID)
+		}
+		bodies[i] = body
+		off = end + 4
+	}
+	if got := crc64.Checksum(buf[:off], crcTable); got != digest {
+		return nil, fmt.Errorf("trace: capture digest mismatch (got %016x, want %016x): file corrupt or tampered", got, digest)
+	}
+	if off != len(buf) {
+		return nil, fmt.Errorf("trace: trailing bytes after capture end section")
+	}
+
+	c := &Capture{FileCRC: digest}
+	for i, id := range sectionOrder {
 		if id != secHeader {
 			// The stream digest (Capture.StreamDigest) spans every section but
 			// the header, so header-only differences (cell identity, seed)
 			// don't split otherwise-identical replay streams. Computed in both
 			// full and output-only modes: the batch planner groups captures it
 			// loaded either way.
-			stream = crc64.Update(stream, crcTable, body)
+			c.StreamDigest = crc64.Update(c.StreamDigest, crcTable, bodies[i])
 		}
-		p := &payload{b: body}
-		skipped := false
+		if outputOnly && (id == secMemory || id == secTraces || id == secOrder) {
+			continue // verified above, never materialized
+		}
+		p := &payload{b: bodies[i]}
+		var err error
 		switch id {
 		case secHeader:
 			err = decodeHeader(p, &c.Header)
 		case secAnnotations:
 			c.Annotations, err = decodeAnnotations(p)
 		case secMemory:
-			if skipped = outputOnly; !skipped {
-				c.InitialMem, err = decodeMemory(p)
-			}
+			c.InitialMem, err = decodeMemory(p)
 		case secTraces:
-			if skipped = outputOnly; !skipped {
-				c.Recorder, err = decodeTraces(p)
-			}
+			c.Recorder, err = decodeTraces(p)
 		case secOrder:
-			if skipped = outputOnly; !skipped {
-				err = decodeOrder(p, c.Recorder)
-			}
+			err = decodeOrder(p, c.Recorder)
 		case secOutput:
 			c.Output, err = decodeOutput(p)
-		case secEnd:
-			if length != 0 {
-				err = fmt.Errorf("non-empty end section")
-			}
+		}
+		if err == nil {
+			err = p.done()
 		}
 		if err != nil {
 			return nil, fmt.Errorf("trace: capture section %d: %w", id, err)
 		}
-		if id != secEnd && !skipped {
-			if err := p.done(); err != nil {
-				return nil, fmt.Errorf("trace: capture section %d: %w", id, err)
-			}
-		}
 	}
-	if hr.sum != wantDigest {
-		return nil, fmt.Errorf("trace: capture digest mismatch (got %016x, want %016x): file corrupt or tampered", hr.sum, wantDigest)
-	}
-	var extra [1]byte
-	if n, _ := io.ReadFull(hr, extra[:]); n != 0 {
-		return nil, fmt.Errorf("trace: trailing bytes after capture end section")
-	}
-	if !outputOnly {
-		// The cursor validation doubles as the cross-section consistency
-		// check: order entries must name real cores and match every
-		// stream's length.
-		if _, err := c.Recorder.Cursor(); err != nil {
-			return nil, fmt.Errorf("trace: capture order index: %w", err)
-		}
-	}
-	c.FileCRC = wantDigest // == hr.sum, verified above
-	c.StreamDigest = stream
 	return c, nil
 }
 
@@ -678,8 +692,14 @@ func readCaptureFile(fsys FS, path string, outputOnly bool) (*Capture, error) {
 		return nil, err
 	}
 	defer f.Close()
+	// The size only sizes the buffer; readAll stays correct if it is wrong
+	// (say, the capture was replaced between Open and Stat).
+	var size int64
+	if fi, err := fsys.Stat(path); err == nil {
+		size = fi.Size()
+	}
 	tr := &trackReader{r: f}
-	c, err := readCapture(tr, outputOnly)
+	c, err := readCapture(tr, size, outputOnly)
 	if err != nil {
 		if tr.err != nil {
 			return nil, fmt.Errorf("%s: %w", path, err)
@@ -810,9 +830,7 @@ func decodeMemory(p *payload) (*memdata.Store, error) {
 		if err != nil {
 			return nil, fmt.Errorf("block %d: %w", i, err)
 		}
-		var blk memdata.Block
-		copy(blk[:], raw)
-		st.WriteBlock(memdata.Addr(pn<<memdata.OffsetBits), &blk)
+		copy(st.Block(memdata.Addr(pn << memdata.OffsetBits))[:], raw)
 	}
 	return st, nil
 }
@@ -831,50 +849,49 @@ func decodeTraces(p *payload) (*Recorder, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core %d count: %w", c, err)
 		}
-		// A record is at least 3 bytes (flags + addr delta + gap).
+		// A record is at least 3 bytes (flags + addr delta + gap), so the
+		// stream can be allocated once at the verified count.
 		if count > uint64(p.remaining())/3+1 {
 			return nil, fmt.Errorf("core %d: record count %d exceeds payload (%d bytes)", c, count, p.remaining())
 		}
-		t := make(Trace, 0, min64(count, capCapRec))
-		prev := uint64(0)
-		for i := uint64(0); i < count; i++ {
-			flags, err := p.uvarint()
-			if err != nil {
-				return nil, fmt.Errorf("core %d record %d: %w", c, i, err)
+		t := make(Trace, count)
+		b, off, prev := p.b, p.off, uint64(0)
+		for i := range t {
+			at := off
+			var flags, zigzag, gap uint64
+			if flags, off = uvarintAt(b, off); off >= 0 {
+				if zigzag, off = uvarintAt(b, off); off >= 0 {
+					gap, off = uvarintAt(b, off)
+				}
+			}
+			if off < 0 {
+				return nil, fmt.Errorf("core %d record %d: truncated at offset %d", c, i, at)
 			}
 			if flags>>2 > 0xFF {
 				return nil, fmt.Errorf("core %d record %d: size %d exceeds a byte", c, i, flags>>2)
 			}
-			delta, err := p.varint()
-			if err != nil {
-				return nil, fmt.Errorf("core %d record %d: %w", c, i, err)
+			delta := int64(zigzag >> 1) // zigzag-decoded, as binary.Varint does
+			if zigzag&1 != 0 {
+				delta = ^delta
 			}
 			addr := int64(prev) + delta
 			if addr < 0 || addr > math.MaxUint32 {
 				return nil, fmt.Errorf("core %d record %d: address delta leaves the 32-bit space", c, i)
 			}
 			prev = uint64(addr)
-			gap, err := p.uvarint()
-			if err != nil {
-				return nil, fmt.Errorf("core %d record %d: %w", c, i, err)
-			}
 			if gap > math.MaxUint32 {
 				return nil, fmt.Errorf("core %d record %d: gap %d exceeds 32 bits", c, i, gap)
 			}
-			r := Record{
-				Addr:   memdata.Addr(addr),
-				Gap:    uint32(gap),
-				Size:   uint8(flags >> 2),
-				Write:  flags&1 != 0,
-				Approx: flags&2 != 0,
-			}
+			r := &t[i]
+			r.Addr, r.Gap, r.Size = memdata.Addr(addr), uint32(gap), uint8(flags>>2)
+			r.Write, r.Approx = flags&1 != 0, flags&2 != 0
 			if r.Write {
-				if r.Val, err = p.uvarint(); err != nil {
-					return nil, fmt.Errorf("core %d record %d: %w", c, i, err)
+				if r.Val, off = uvarintAt(b, off); off < 0 {
+					return nil, fmt.Errorf("core %d record %d: truncated at offset %d", c, i, at)
 				}
 			}
-			t = append(t, r)
 		}
+		p.off = off
 		rec.Cores[c] = t
 	}
 	return rec, nil
@@ -894,16 +911,30 @@ func decodeOrder(p *payload, rec *Recorder) error {
 	if count != uint64(rec.Len()) {
 		return fmt.Errorf("order count %d does not match %d recorded accesses", count, rec.Len())
 	}
-	order := make([]uint16, 0, min64(count, capCapRec))
-	for i := uint64(0); i < count; i++ {
-		core, err := p.uvarint()
-		if err != nil {
-			return fmt.Errorf("order entry %d: %w", i, err)
+	// The count matches the streams, which were bounded by their own
+	// payload, so the index is allocated once at its final length.
+	order := make([]uint16, count)
+	seen := make([]int, len(rec.Cores))
+	b, off := p.b, p.off
+	for i := range order {
+		core, next := uvarintAt(b, off)
+		if next < 0 {
+			return fmt.Errorf("order entry %d: truncated uvarint at offset %d", i, off)
 		}
 		if core >= uint64(len(rec.Cores)) {
 			return fmt.Errorf("order entry %d names core %d of %d", i, core, len(rec.Cores))
 		}
-		order = append(order, uint16(core))
+		order[i] = uint16(core)
+		seen[core]++
+		off = next
+	}
+	p.off = off
+	// Cross-section consistency: the index must give every core exactly
+	// as many turns as its stream has records.
+	for c, n := range seen {
+		if n != len(rec.Cores[c]) {
+			return fmt.Errorf("order index has %d accesses for core %d, stream has %d", n, c, len(rec.Cores[c]))
+		}
 	}
 	rec.Order = order
 	return nil
