@@ -9,7 +9,8 @@
 # SIGINT/checkpoint/resume path end to end; all three are folded into `race`.
 # `trace-smoke` proves the persistent trace cache end to end under the race
 # detector (capture, replay, strict-replay rejection, persist-failure
-# degradation) and is folded into `race` alongside the other smokes.
+# degradation, output-only cells kept out of the decoded-capture cache) and
+# is folded into `race` alongside the other smokes.
 # `chaos-smoke` runs the short-mode chaos soak (cmd/chaossoak) under the race
 # detector — corruption/quarantine, SIGKILLed recorders, fault-injecting
 # filesystem — and is folded into `race`; the full 50-round soak is
@@ -105,7 +106,7 @@ batch-smoke:
 	$(GO) test -race -run 'TestServerDecodedCacheAndDigestRouting' ./internal/server/
 
 trace-smoke:
-	$(GO) test -race -cpu 1,4 -run 'TestTraceSmoke|TestTraceReplayRequiresCapture|TestTracePersistFailureDegradesLive' ./internal/sweep/
+	$(GO) test -race -cpu 1,4 -run 'TestTraceSmoke|TestTraceReplayRequiresCapture|TestTracePersistFailureDegradesLive|TestDecodedCacheHoldsOnlyBaselines' ./internal/sweep/
 	$(GO) test -race -run 'TestCapture|TestCursor|TestWriteFile|TestOpenStore|TestQuarantineOneWayDoor|TestVerifyFileModes|TestReadErrorClassification' ./internal/trace/
 
 chaos-smoke:

@@ -162,14 +162,16 @@ func BenchmarkFuncSweep(b *testing.B) {
 
 // BenchmarkFuncSweepBatched is BenchmarkFuncSweep through the decoded-capture
 // cache — the sweepd deployment, where one long-lived in-memory cache
-// outlives every sweep over the trace directory. Each capture file is read
-// and decoded once for the cache's lifetime instead of once per sweep, and
-// baseline outputs are scored straight from their decoded captures, so a
-// warm sweep rebuilds no hierarchy at all. With DOPPEL_BENCH_LIVE=1 the
-// cache has nothing to serve and every cell executes live, identical to
-// BenchmarkFuncSweep — so against the committed live baseline this row is
-// the single-pass substrate's speedup, and the gap over the FuncSweep row
-// is the decoded-cache win over per-cell file replay.
+// outlives every sweep over the trace directory. Each baseline capture is
+// read and decoded once for the cache's lifetime instead of once per sweep,
+// and baseline outputs are scored straight from their decoded captures, so
+// a warm sweep rebuilds no hierarchy at all. The error cells' own captures
+// stay out of the cache: each sweep reads and verifies them with the
+// output-only decode. With DOPPEL_BENCH_LIVE=1 the cache has nothing to
+// serve and every cell executes live, identical to BenchmarkFuncSweep — so
+// against the committed live baseline this row is the single-pass
+// substrate's speedup, and the gap over the FuncSweep row is the
+// decoded-cache win over per-cell file replay.
 func BenchmarkFuncSweepBatched(b *testing.B) {
 	dir := b.TempDir()
 	if os.Getenv("DOPPEL_BENCH_LIVE") != "" {

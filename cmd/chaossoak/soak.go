@@ -46,12 +46,12 @@ type Config struct {
 // Report is the soak's outcome, serialized to BENCH_9.json. Every field is
 // cumulative over all rounds.
 type Report struct {
-	Rounds        int    `json:"rounds"`
+	Rounds        int     `json:"rounds"`
 	Scale         float64 `json:"scale"`
-	Seed          int64  `json:"seed"`
-	CorruptRounds int    `json:"corrupt_rounds"`
-	CrashRounds   int    `json:"crash_rounds"`
-	ChaosFSRounds int    `json:"chaosfs_rounds"`
+	Seed          int64   `json:"seed"`
+	CorruptRounds int     `json:"corrupt_rounds"`
+	CrashRounds   int     `json:"crash_rounds"`
+	ChaosFSRounds int     `json:"chaosfs_rounds"`
 
 	CorruptionsInjected int    `json:"corruptions_injected"`
 	OrphanTempsPlanted  int    `json:"orphan_temps_planted"`

@@ -49,8 +49,7 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Line is one cache frame. Coh/Sharers/Owner are used where the array acts
-// as (or feeds) a directory; private caches use Coh only.
+// Line is one cache frame. Coh is the frame's MSI state in a private cache.
 type Line struct {
 	Valid bool
 	Dirty bool
@@ -58,7 +57,6 @@ type Line struct {
 	Addr  memdata.Addr // full block address (redundant with Tag+set, kept for convenience)
 	Data  memdata.Block
 	Coh   coherence.State
-	Dir   coherence.Line // directory info when this array is an inclusive LLC
 	lru   uint64
 }
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"doppelganger/internal/trace"
+	"doppelganger/internal/workloads"
 )
 
 // TestServerScrubsTraceDirAtStartup proves the server runs the startup
@@ -150,8 +151,10 @@ func TestServerDecodedCacheAndDigestRouting(t *testing.T) {
 	if st.DecodedCache == nil {
 		t.Fatal("stats carry no decoded-cache snapshot")
 	}
-	if st.DecodedCache.Entries == 0 || st.DecodedCache.Bytes == 0 {
-		t.Errorf("decoded cache empty after a warm replay: %+v", *st.DecodedCache)
+	// The split-error cell reads only its capture's output, so the shared
+	// cache holds exactly one capture: the baseline the cell scored against.
+	if st.DecodedCache.Entries != 1 || st.DecodedCache.Bytes == 0 {
+		t.Errorf("decoded cache after a warm replay = %+v, want exactly the baseline capture", *st.DecodedCache)
 	}
 
 	// The snapshot also renders over HTTP, and the cache's counters are on
@@ -167,6 +170,18 @@ func TestServerDecodedCacheAndDigestRouting(t *testing.T) {
 	}
 	if second.reg.CounterValue("trace.decoded_cache.misses") == 0 {
 		t.Error("decoded-cache counters not attached to the server registry")
+	}
+
+	// The one resident capture is the baseline's, not the cell's own.
+	for kind, want := range map[string]bool{"baseline-timing": true, cell.Kind: false} {
+		ident, _ := second.shards[0].runner.CellCaptureIdent(kind, cell.Bench, cell.Org, cell.M, cell.Frac, cell.Rate)
+		d, err := trace.FileDigest(workloads.CapturePath(dir, ident))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := second.decoded.Get(d) != nil; got != want {
+			t.Errorf("%s capture resident = %v, want %v", kind, got, want)
+		}
 	}
 }
 

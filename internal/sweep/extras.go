@@ -140,7 +140,7 @@ func (r *Runner) customErrorContext(ctx context.Context, name string, cfg core.C
 			return 0, err
 		}
 		r.collect(key+"/func", child)
-		return a.bench.Error(a.run.Output, run.Output), nil
+		return a.bench.Error(a.output, run.Output), nil
 	})
 }
 
@@ -159,8 +159,7 @@ func (r *Runner) customTimingContext(ctx context.Context, name string, cfg core.
 		}
 		r.logf("[%s] custom timing run (%s)", name, tag)
 		child := r.instrument()
-		res, err := timesim.RunContext(ctx, a.run.Recorder, a.run.InitialMem, a.run.Annotations,
-			workloads.CustomSplitBuilder(cfg), r.timesimConfigFor(key+"/timing", child))
+		res, err := a.replay(ctx, workloads.CustomSplitBuilder(cfg), r.timesimConfigFor(key+"/timing", child))
 		if err != nil {
 			return nil, err
 		}

@@ -211,7 +211,7 @@ func (r *Runner) QualityTimingContext(ctx context.Context, name, org string, rat
 			qc.AttachMetrics(child)
 			cfg.Quality = qc
 		}
-		res, err := timesim.RunContext(ctx, a.run.Recorder, a.run.InitialMem, a.run.Annotations, builder, cfg)
+		res, err := a.replay(ctx, builder, cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -187,6 +187,55 @@ func TestReplayFaultQualityCells(t *testing.T) {
 	}
 }
 
+// TestDecodedCacheHoldsOnlyBaselines: a warm Runner with a decoded cache
+// serves split-, uni- and fault-error cells from a recorded directory
+// bit-identically to the cold Runner that recorded it, and afterwards the
+// shared cache holds only the baseline captures the cells scored against.
+// Output-only cells load their own captures with the output-only decode
+// and never enter the cache.
+func TestDecodedCacheHoldsOnlyBaselines(t *testing.T) {
+	only := []string{"blackscholes", "kmeans"}
+	dir := t.TempDir()
+	cells := func(r *Runner) map[string]uint64 {
+		r.FaultSeed = 42
+		out := map[string]uint64{}
+		for _, name := range only {
+			s, err := r.SplitError(name, BaseMapBits, BaseDataFrac)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out["split/"+name] = math.Float64bits(s)
+			u, err := r.UnifiedError(name, BaseMapBits, 0.25)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out["uni/"+name] = math.Float64bits(u)
+			f, err := r.FaultError(name, "doppel", 1e-4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out["fault/"+name] = math.Float64bits(f)
+		}
+		return out
+	}
+	cold := cells(traceRunner(0.02, dir, only...))
+	w := traceRunner(0.02, dir, only...)
+	w.DecodedCache = trace.NewDecodedCache(256 << 20)
+	w.Metrics = metrics.NewRegistry()
+	warm := cells(w)
+	for k, v := range cold {
+		if warm[k] != v {
+			t.Errorf("%s: warm %x != cold %x", k, warm[k], v)
+		}
+	}
+	if n := w.Metrics.CounterValue("trace.records"); n != 0 {
+		t.Errorf("warm pass re-recorded %d captures", n)
+	}
+	if st := w.DecodedCache.Stats(); st.Entries != len(only) {
+		t.Errorf("decoded cache holds %d captures, want only the %d baselines: %+v", st.Entries, len(only), st)
+	}
+}
+
 func qualityOutcomeEqual(a, b QualityOutcome) bool {
 	if a.TrueErrorBits != b.TrueErrorBits || a.EstimateBits != b.EstimateBits ||
 		a.FinalState != b.FinalState || a.Trips != b.Trips || a.Reentries != b.Reentries ||

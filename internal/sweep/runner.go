@@ -10,6 +10,7 @@ import (
 	"doppelganger/internal/approx"
 	"doppelganger/internal/core"
 	"doppelganger/internal/faults"
+	"doppelganger/internal/memdata"
 	"doppelganger/internal/metrics"
 	"doppelganger/internal/singleflight"
 	"doppelganger/internal/stats"
@@ -94,10 +95,10 @@ type Runner struct {
 	// Decoded captures are immutable and safe to share, so one cache can
 	// serve many Runners (the sweep server hands all its shards the same
 	// one): a capture any of them decoded is replayed by the rest without
-	// touching the file beyond its 16-byte digest preamble. While a decoded
-	// cache is attached, every capture load is a full decode — a cached
-	// capture must be able to serve both output-only and hierarchy-replay
-	// consumers.
+	// touching the file beyond its 16-byte digest preamble. It holds only
+	// the captures a hierarchy replay walks again (baseline and guarded
+	// quality cells), fully decoded; output-only cells load theirs with the
+	// output-only decode and never enter it.
 	DecodedCache *trace.DecodedCache
 	// ReplayBatch, when > 1, turns on single-pass multi-config replay for
 	// quality cells during Prewarm: up to ReplayBatch cells whose captures
@@ -137,11 +138,26 @@ type baseScore struct {
 	out   []float64
 }
 
+// baseArtifacts is what a benchmark's baseline task leaves behind for the
+// cells that depend on it: the precise output every error cell scores
+// against, the recording (traces, initial memory image and annotations)
+// every timing cell replays, the snapshot analysis, and the baseline timing
+// result. The baseline run's hierarchy, LLC and final store are not kept;
+// no cell reads them.
 type baseArtifacts struct {
-	bench    *workloads.Benchmark // for the Error metric
-	run      *workloads.RunResult
-	analyzer *stats.Analyzer
-	timing   *timesim.Result
+	bench       *workloads.Benchmark // for the Error metric
+	output      []float64
+	recorder    *trace.Recorder
+	initialMem  *memdata.Store
+	annotations *approx.Annotations
+	analyzer    *stats.Analyzer
+	timing      *timesim.Result
+}
+
+// replay runs the baseline recording through the timing model against the
+// LLC organization llcb builds.
+func (a *baseArtifacts) replay(ctx context.Context, llcb workloads.LLCBuilder, cfg timesim.Config) (*timesim.Result, error) {
+	return timesim.RunContext(ctx, a.recorder, a.initialMem, a.annotations, llcb, cfg)
 }
 
 // NewRunner builds a Runner at the given workload scale.
@@ -270,13 +286,19 @@ func (r *Runner) BaselineContext(ctx context.Context, name string) (*baseArtifac
 		r.logf("[%s] baseline timing run (%d accesses)", name, run.Recorder.Len())
 		tkey := "base/" + name + "/timing"
 		tchild := r.instrument()
-		timing, err := timesim.RunContext(ctx, run.Recorder, run.InitialMem, run.Annotations,
-			workloads.BaselineBuilder(2<<20, 16), r.timesimConfigFor(tkey, tchild))
-		if err != nil {
+		a := &baseArtifacts{
+			bench:       f.New(r.Scale),
+			output:      run.Output,
+			recorder:    run.Recorder,
+			initialMem:  run.InitialMem,
+			annotations: run.Annotations,
+			analyzer:    an,
+		}
+		if a.timing, err = a.replay(ctx, workloads.BaselineBuilder(2<<20, 16), r.timesimConfigFor(tkey, tchild)); err != nil {
 			return nil, err
 		}
 		r.collect(tkey, tchild)
-		return &baseArtifacts{bench: f.New(r.Scale), run: run, analyzer: an, timing: timing}, nil
+		return a, nil
 	})
 }
 
@@ -305,7 +327,7 @@ func (r *Runner) baselineScore(ctx context.Context, name string) (*baseScore, er
 		if err != nil {
 			return nil, err
 		}
-		return &baseScore{bench: a.bench, out: a.run.Output}, nil
+		return &baseScore{bench: a.bench, out: a.output}, nil
 	}
 	return r.baseOut.Do(name, func() (*baseScore, error) {
 		f, err := workloads.ByName(name)
@@ -324,7 +346,7 @@ func (r *Runner) baselineScore(ctx context.Context, name string) (*baseScore, er
 		if err != nil {
 			return nil, err
 		}
-		return &baseScore{bench: a.bench, out: a.run.Output}, nil
+		return &baseScore{bench: a.bench, out: a.output}, nil
 	})
 }
 
@@ -426,8 +448,7 @@ func (r *Runner) SplitTimingContext(ctx context.Context, name string, m int, fra
 		}
 		r.logf("[%s] split timing run (M=%d, data %g)", name, m, frac)
 		child := r.instrument()
-		res, err := timesim.RunContext(ctx, a.run.Recorder, a.run.InitialMem, a.run.Annotations,
-			workloads.SplitBuilder(m, frac), r.timesimConfigFor(key+"/timing", child))
+		res, err := a.replay(ctx, workloads.SplitBuilder(m, frac), r.timesimConfigFor(key+"/timing", child))
 		if err != nil {
 			return nil, err
 		}
@@ -452,8 +473,7 @@ func (r *Runner) UnifiedTimingContext(ctx context.Context, name string, m int, f
 		}
 		r.logf("[%s] unified timing run (M=%d, data %g)", name, m, frac)
 		child := r.instrument()
-		res, err := timesim.RunContext(ctx, a.run.Recorder, a.run.InitialMem, a.run.Annotations,
-			workloads.UnifiedBuilder(m, frac), r.timesimConfigFor(key+"/timing", child))
+		res, err := a.replay(ctx, workloads.UnifiedBuilder(m, frac), r.timesimConfigFor(key+"/timing", child))
 		if err != nil {
 			return nil, err
 		}

@@ -149,31 +149,34 @@ func (r *Runner) funcRun(ctx context.Context, req funcReq) (*workloads.RunResult
 	fsys := r.traceFS()
 	ident := r.traceIdent(req)
 	path := r.tracePath(ident)
+	// Output-only cells never rebuild a hierarchy, so they load with the
+	// output-only decode, which skips materializing the memory image and
+	// trace streams (the file is still fully integrity-checked). They also
+	// stay out of the shared decoded cache: it holds the captures a
+	// hierarchy replay walks again. An ident's fast-ness never varies
+	// between requests, so neither the memo nor the decoded cache can hand
+	// a lite capture to a hierarchy replay.
+	decoded := r.DecodedCache
+	if req.fast {
+		decoded = nil
+	}
 	var live *workloads.RunResult
 	capture, err := r.traceCache.Do(ident, func() (*trace.Capture, error) {
 		persist := true
 		if !r.TraceCapture {
-			if r.DecodedCache != nil {
+			if decoded != nil {
 				// Shared decoded-capture cache: another Runner (or an earlier
 				// sweep over this Runner's cache) may already have decoded
 				// this file — the probe reads only the digest preamble.
 				if d, derr := trace.FileDigestFS(fsys, path); derr == nil {
-					if c := r.DecodedCache.Get(d); c != nil && c.Header.ConfigKey == ident && c.Header.Cores == r.Cores {
+					if c := decoded.Get(d); c != nil && c.Header.ConfigKey == ident && c.Header.Cores == r.Cores {
 						r.Metrics.Counter("trace.replays").Add(1)
 						r.logf("[%s] replaying decoded capture %s (%s)", req.name, filepath.Base(path), req.key)
 						return c, nil
 					}
 				}
 			}
-			// Output-only cells never rebuild a hierarchy, so skip
-			// materializing the memory image and trace streams they would
-			// not use (the file is still fully integrity-checked). An
-			// ident's fast-ness never varies between requests, so the memo
-			// can never hand a lite capture to a hierarchy replay — and
-			// with a decoded cache attached every load is full, so the
-			// shared cache can serve any consumer.
-			lite := req.fast && r.DecodedCache == nil
-			c, outcome, lerr := workloads.LoadCaptureRecover(fsys, r.TraceDir, path, ident, r.Cores, lite)
+			c, outcome, lerr := workloads.LoadCaptureRecover(fsys, r.TraceDir, path, ident, r.Cores, req.fast)
 			if r.TraceReplay && outcome != workloads.LoadOK {
 				if lerr == nil {
 					lerr = os.ErrNotExist
@@ -184,8 +187,8 @@ func (r *Runner) funcRun(ctx context.Context, req funcReq) (*workloads.RunResult
 			case workloads.LoadOK:
 				r.Metrics.Counter("trace.replays").Add(1)
 				r.logf("[%s] replaying capture %s (%s)", req.name, filepath.Base(path), req.key)
-				if r.DecodedCache != nil {
-					r.DecodedCache.Put(c.FileCRC, c)
+				if decoded != nil {
+					decoded.Put(c.FileCRC, c)
 				}
 				return c, nil
 			case workloads.LoadMiss:
@@ -228,10 +231,10 @@ func (r *Runner) funcRun(ctx context.Context, req funcReq) (*workloads.RunResult
 				r.logf("[%s] capture %s not persisted (%v); serving live result", req.name, filepath.Base(path), perr)
 			} else {
 				r.Metrics.Counter("trace.records").Add(1)
-				if r.DecodedCache != nil {
+				if decoded != nil {
 					// WriteFileFS stamped c.FileCRC; the freshly recorded
 					// capture is immediately servable to other Runners.
-					r.DecodedCache.Put(c.FileCRC, c)
+					decoded.Put(c.FileCRC, c)
 				}
 			}
 		}

@@ -96,7 +96,6 @@ type Result struct {
 	Instructions  uint64   // total instructions retired
 	Totals        core.Effects
 	Hier          funcsim.Stats
-	LLC           core.LLC
 
 	// Metrics is the registry the run was attached to (nil when disabled).
 	// The legacy counter fields above are then a second, independently
@@ -474,7 +473,6 @@ func RunContext(ctx context.Context, tr *trace.Recorder, initial *memdata.Store,
 		Instructions:  instructions,
 		Totals:        h.Totals,
 		Hier:          h.Stats,
-		LLC:           llc,
 		Metrics:       cfg.Metrics,
 	}
 	for c, cs := range cores {

@@ -1,7 +1,11 @@
 package timesim
 
 import (
+	"context"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"doppelganger/internal/approx"
 	"doppelganger/internal/cache"
@@ -154,6 +158,36 @@ func TestStoresApplyValues(t *testing.T) {
 	if res.Totals.MemReads != 1 {
 		t.Errorf("write-allocate should read memory once: %d", res.Totals.MemReads)
 	}
+}
+
+// TestResultDoesNotPinLLC: the sweep memoizes every timing result for the
+// life of a regeneration, so a result must not keep its run's LLC
+// organization (tag and data arrays, and through them the cloned memory
+// image) reachable once RunContext has returned.
+func TestResultDoesNotPinLLC(t *testing.T) {
+	rec := trace.NewRecorder(2)
+	for i := 0; i < 200; i++ {
+		rec.Access(i%2, memdata.Addr(0x1000+i*64), i%3 == 0, 4, uint64(i), false)
+	}
+	cfg := DefaultConfig()
+	cfg.Cores = 2
+	var collected atomic.Bool
+	res, err := RunContext(context.Background(), rec, memdata.NewStore(), nil,
+		func(st *memdata.Store, ann *approx.Annotations) core.LLC {
+			llc := baselineBuilder(8<<10)(st, ann)
+			runtime.SetFinalizer(llc, func(core.LLC) { collected.Store(true) })
+			return llc
+		}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); !collected.Load(); {
+		if time.Now().After(deadline) {
+			t.Fatal("the run's LLC organization is still reachable from its result")
+		}
+		runtime.GC()
+	}
+	runtime.KeepAlive(res)
 }
 
 func TestDeterministicReplay(t *testing.T) {

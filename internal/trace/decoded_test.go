@@ -8,9 +8,10 @@ import (
 )
 
 // The digest metadata is what keys the decoded cache and groups batched
-// replays: WriteTo and both decode modes must agree on it, the preamble
-// probe must match it, and header-only differences must change FileCRC but
-// not StreamDigest.
+// replays: WriteTo and both decode modes must agree on FileCRC, WriteTo and
+// the full decode on StreamDigest (an output-only decode leaves it 0), the
+// preamble probe must match FileCRC, and header-only differences must
+// change FileCRC but not StreamDigest.
 func TestDecodedDigestFields(t *testing.T) {
 	c := testCapture(t)
 	raw := encodeCapture(t, c)
@@ -30,9 +31,9 @@ func TestDecodedDigestFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lite.FileCRC != c.FileCRC || lite.StreamDigest != c.StreamDigest {
-		t.Fatalf("output-only decode digests (file %016x stream %016x) differ from full (file %016x stream %016x)",
-			lite.FileCRC, lite.StreamDigest, c.FileCRC, c.StreamDigest)
+	if lite.FileCRC != c.FileCRC || lite.StreamDigest != 0 {
+		t.Fatalf("output-only decode digests (file %016x stream %016x), want file %016x and stream 0",
+			lite.FileCRC, lite.StreamDigest, c.FileCRC)
 	}
 
 	// The cheap preamble probe and the full decode must name the same file.
@@ -83,6 +84,20 @@ func TestDecodedCacheHitMissLRU(t *testing.T) {
 	}
 	if st.Bytes != 3*c.SizeBytes() {
 		t.Fatalf("bytes = %d, want 3 x %d", st.Bytes, c.SizeBytes())
+	}
+
+	// An output-only decode carries no streams or memory image, so the
+	// cache refuses it: a hierarchy replay must never be handed one.
+	lite, err := ReadCaptureOutput(bytes.NewReader(encodeCapture(t, c)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dc.Put(4, lite)
+	if dc.Get(4) != nil {
+		t.Fatal("output-only capture was cached")
+	}
+	if got := dc.Stats().Entries; got != st.Entries {
+		t.Fatalf("entries = %d after an output-only put, want %d", got, st.Entries)
 	}
 
 	// Shrink-to-budget eviction is LRU: after touching 2, a flood of new

@@ -105,9 +105,11 @@ func (dc *DecodedCache) Get(digest uint64) *Capture {
 // Put inserts a decoded capture under its file digest and evicts LRU entries
 // until the budget holds again. Re-putting a resident digest only refreshes
 // its recency: a digest names exact file bytes, so the capture cannot have
-// changed.
+// changed. A capture without its access streams or memory image (an
+// output-only decode) is ignored, so the cache can never hand one to a
+// hierarchy replay.
 func (dc *DecodedCache) Put(digest uint64, c *Capture) {
-	if c == nil {
+	if c == nil || c.Recorder == nil || c.InitialMem == nil {
 		return
 	}
 	dc.mu.Lock()

@@ -108,7 +108,8 @@ type Capture struct {
 	// memory image, access streams, global order, output) is byte-identical
 	// share a StreamDigest even when their headers (cell identity, seed)
 	// differ — the grouping key batched replay uses to drive many cells from
-	// one decode.
+	// one decode. Only WriteTo and full decodes compute it; an output-only
+	// decode (ReadCaptureOutput) leaves it 0.
 	FileCRC      uint64
 	StreamDigest uint64
 }
@@ -471,9 +472,10 @@ func ReadCapture(r io.Reader) (*Capture, error) {
 // ReadCaptureOutput decodes only a capture's header, annotations and output
 // vector. The memory, trace and order sections are still fully read and
 // verified (section CRCs and the whole-file digest), but nothing
-// proportional to their contents is materialized — the cheap path for
-// consumers that serve a capture's result without replaying it. The
-// cross-section order/stream consistency check is necessarily skipped.
+// proportional to their contents is materialized and no StreamDigest is
+// computed — the cheap path for consumers that serve a capture's result
+// without replaying it. The cross-section order/stream consistency check is
+// necessarily skipped.
 func ReadCaptureOutput(r io.Reader) (*Capture, error) {
 	return readCapture(r, sizeHint(r), true)
 }
@@ -549,12 +551,12 @@ func decodeCapture(digest uint64, buf []byte, outputOnly bool) (*Capture, error)
 
 	c := &Capture{FileCRC: digest}
 	for i, id := range sectionOrder {
-		if id != secHeader {
+		if !outputOnly && id != secHeader {
 			// The stream digest (Capture.StreamDigest) spans every section but
 			// the header, so header-only differences (cell identity, seed)
-			// don't split otherwise-identical replay streams. Computed in both
-			// full and output-only modes: the batch planner groups captures it
-			// loaded either way.
+			// don't split otherwise-identical replay streams. Only full
+			// decodes need it: the batch planner groups the captures it
+			// loads, and it loads them fully.
 			c.StreamDigest = crc64.Update(c.StreamDigest, crcTable, bodies[i])
 		}
 		if outputOnly && (id == secMemory || id == secTraces || id == secOrder) {

@@ -53,13 +53,13 @@ var OS FS = osFS{}
 
 type osFS struct{}
 
-func (osFS) Open(name string) (File, error)              { return os.Open(name) }
+func (osFS) Open(name string) (File, error)               { return os.Open(name) }
 func (osFS) CreateTemp(dir, pattern string) (File, error) { return os.CreateTemp(dir, pattern) }
-func (osFS) Rename(oldpath, newpath string) error        { return os.Rename(oldpath, newpath) }
-func (osFS) Remove(name string) error                    { return os.Remove(name) }
-func (osFS) MkdirAll(dir string) error                   { return os.MkdirAll(dir, 0o755) }
-func (osFS) ReadDir(dir string) ([]os.DirEntry, error)   { return os.ReadDir(dir) }
-func (osFS) Stat(name string) (os.FileInfo, error)       { return os.Stat(name) }
+func (osFS) Rename(oldpath, newpath string) error         { return os.Rename(oldpath, newpath) }
+func (osFS) Remove(name string) error                     { return os.Remove(name) }
+func (osFS) MkdirAll(dir string) error                    { return os.MkdirAll(dir, 0o755) }
+func (osFS) ReadDir(dir string) ([]os.DirEntry, error)    { return os.ReadDir(dir) }
+func (osFS) Stat(name string) (os.FileInfo, error)        { return os.Stat(name) }
 
 // SyncDir opens the directory and fsyncs it. This is the second half of the
 // atomic-write commit protocol: rename makes the new name visible, the
