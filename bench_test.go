@@ -160,7 +160,7 @@ func BenchmarkFuncSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkFuncSweepBatched is BenchmarkFuncSweep through the decoded-capture
+// BenchmarkFuncSweepDecodedCache is BenchmarkFuncSweep through the decoded-capture
 // cache — the sweepd deployment, where one long-lived in-memory cache
 // outlives every sweep over the trace directory. Each baseline capture is
 // read and decoded once for the cache's lifetime instead of once per sweep,
@@ -169,10 +169,10 @@ func BenchmarkFuncSweep(b *testing.B) {
 // stay out of the cache: each sweep reads and verifies them with the
 // output-only decode. With DOPPEL_BENCH_LIVE=1 the cache has nothing to
 // serve and every cell executes live, identical to BenchmarkFuncSweep — so
-// against the committed live baseline this row is the single-pass
-// substrate's speedup, and the gap over the FuncSweep row is the
-// decoded-cache win over per-cell file replay.
-func BenchmarkFuncSweepBatched(b *testing.B) {
+// against the committed live baseline this row is the warm substrate's
+// speedup, and the gap over the FuncSweep row is the decoded-cache win over
+// per-cell file replay.
+func BenchmarkFuncSweepDecodedCache(b *testing.B) {
 	dir := b.TempDir()
 	if os.Getenv("DOPPEL_BENCH_LIVE") != "" {
 		dir = "" // no trace cache: every cell runs its kernels
@@ -182,7 +182,6 @@ func BenchmarkFuncSweepBatched(b *testing.B) {
 		r := sweep.NewRunner(benchScale)
 		r.TraceDir = dir
 		r.DecodedCache = cache
-		r.ReplayBatch = 8
 		for _, name := range r.Benchmarks() {
 			for _, m := range sweep.MapSpaces {
 				if _, err := r.SplitError(name, m, sweep.BaseDataFrac); err != nil {

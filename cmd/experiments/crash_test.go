@@ -87,12 +87,12 @@ func TestCrashRecoveryByteIdentical(t *testing.T) {
 	if !bytes.Equal(warm, want) {
 		t.Fatalf("warm replay diverged after recovery:\n--- clean ---\n%s\n--- warm ---\n%s", want, warm)
 	}
-	// Same again through the decoded-capture cache and batched replay.
-	batched, err := exec.Command(bin, args("-trace-dir", traceDir, "-decoded-cache-mb", "64", "-replay-batch", "8")...).Output()
+	// Same again through the decoded-capture cache.
+	cached, err := exec.Command(bin, args("-trace-dir", traceDir, "-decoded-cache-mb", "64")...).Output()
 	if err != nil {
-		t.Fatalf("batched warm run: %v", err)
+		t.Fatalf("decoded-cache warm run: %v", err)
 	}
-	if !bytes.Equal(batched, want) {
-		t.Fatalf("batched replay diverged:\n--- clean ---\n%s\n--- batched ---\n%s", want, batched)
+	if !bytes.Equal(cached, want) {
+		t.Fatalf("decoded-cache replay diverged:\n--- clean ---\n%s\n--- decoded cache ---\n%s", want, cached)
 	}
 }

@@ -69,7 +69,6 @@ func main() {
 		traceVerify  = flag.String("trace-verify", "open", "startup scrub strictness for -trace-dir: off (sweep temp files only), open (verify each capture's digest), full (fully decode each capture)")
 
 		decodedCacheMB = flag.Int("decoded-cache-mb", 0, "in-memory decoded-capture cache budget, MB: decode each capture in -trace-dir once per sweep, not once per consumer (0 disables)")
-		replayBatch    = flag.Int("replay-batch", 0, "max identical-stream quality cells replayed per single-pass walk over a warm -trace-dir; needs -decoded-cache-mb (<=1 disables)")
 
 		metricsOut = flag.String("metrics-out", "", "write per-task + total counter snapshots as JSONL to this file")
 		traceOut   = flag.String("trace-out", "", "write a Chrome-trace JSON (chrome://tracing) of every timing run to this file")
@@ -99,7 +98,6 @@ func main() {
 		TraceReplay:    *traceReplay,
 		TraceVerify:    *traceVerify,
 		DecodedCacheMB: *decodedCacheMB,
-		ReplayBatch:    *replayBatch,
 	}); err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		os.Exit(2)
@@ -176,7 +174,7 @@ func main() {
 	if *traceDir != "" {
 		// After CollectMetrics, so the decoded cache's counters land on the
 		// registry -metrics-out snapshots.
-		ev.BatchReplay(*replayBatch, *decodedCacheMB)
+		ev.DecodedCache(*decodedCacheMB)
 	}
 	var finishTrace func() error
 	if *traceOut != "" {

@@ -24,7 +24,6 @@ type sweepOptions struct {
 	TraceReplay    bool
 	TraceVerify    string
 	DecodedCacheMB int
-	ReplayBatch    int
 }
 
 // validateOptions rejects flag combinations that would otherwise fail
@@ -40,6 +39,5 @@ func validateOptions(o sweepOptions) error {
 		flagcheck.TraceFlags(o.TraceDir, o.TraceCapture, o.TraceReplay),
 		flagcheck.TraceVerify("-trace-verify", o.TraceVerify),
 		flagcheck.NonNegative("-decoded-cache-mb", o.DecodedCacheMB),
-		flagcheck.NonNegative("-replay-batch", o.ReplayBatch),
 	)
 }

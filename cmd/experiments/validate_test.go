@@ -47,7 +47,6 @@ func TestValidateOptions(t *testing.T) {
 		{"negative canary", sweepOptions{Scale: 1, QualityBudget: 0.05, CanaryRate: -0.1}, "-canary-rate"},
 		{"bad trace verify", sweepOptions{Scale: 1, QualityBudget: 0.05, TraceVerify: "paranoid"}, "-trace-verify"},
 		{"negative decoded cache", sweepOptions{Scale: 1, QualityBudget: 0.05, DecodedCacheMB: -1}, "-decoded-cache-mb"},
-		{"negative replay batch", sweepOptions{Scale: 1, QualityBudget: 0.05, ReplayBatch: -4}, "-replay-batch"},
 	}
 	for _, tc := range bad {
 		err := validateOptions(tc.o)

@@ -251,7 +251,6 @@ func TestValidateOptions(t *testing.T) {
 		{"trace replay without dir", func(o *sweepdOptions) { o.TraceReplay = true }, "-trace-dir"},
 		{"bad trace verify", func(o *sweepdOptions) { o.TraceVerify = "sometimes" }, "-trace-verify"},
 		{"negative decoded cache", func(o *sweepdOptions) { o.DecodedCacheMB = -1 }, "-decoded-cache-mb"},
-		{"negative replay batch", func(o *sweepdOptions) { o.ReplayBatch = -8 }, "-replay-batch"},
 		{"resume without files", func(o *sweepdOptions) { o.Resume = true }, "-resume"},
 	}
 	for _, tc := range bad {

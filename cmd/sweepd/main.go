@@ -84,7 +84,6 @@ func main() {
 		traceVerify  = flag.String("trace-verify", "open", "startup scrub strictness for -trace-dir: off (sweep temp files only), open (verify each capture's digest), full (fully decode each capture)")
 
 		decodedCacheMB = flag.Int("decoded-cache-mb", 256, "in-memory decoded-capture cache budget shared by all shards, MB (0 disables; needs -trace-dir)")
-		replayBatch    = flag.Int("replay-batch", 8, "max identical-stream quality cells replayed per single-pass walk (<=1 disables batching)")
 	)
 	flag.Parse()
 
@@ -113,7 +112,6 @@ func main() {
 		TraceReplay:    *traceReplay,
 		TraceVerify:    *traceVerify,
 		DecodedCacheMB: *decodedCacheMB,
-		ReplayBatch:    *replayBatch,
 		Resume:         *resume,
 		StatePath:      *statePath,
 		Checkpoint:     *checkpoint,
@@ -177,7 +175,6 @@ func main() {
 		TraceReplay:    *traceReplay,
 		TraceVerify:    verifyMode,
 		DecodedCacheMB: *decodedCacheMB,
-		ReplayBatch:    *replayBatch,
 		Checkpoint:     cp,
 		Log:            logw,
 	}

@@ -33,7 +33,6 @@ type sweepdOptions struct {
 	TraceReplay    bool
 	TraceVerify    string
 	DecodedCacheMB int
-	ReplayBatch    int
 	Resume         bool
 	StatePath      string
 	Checkpoint     string
@@ -58,7 +57,6 @@ func validateOptions(o sweepdOptions) error {
 		flagcheck.TraceFlags(o.TraceDir, o.TraceCapture, o.TraceReplay),
 		flagcheck.TraceVerify("-trace-verify", o.TraceVerify),
 		flagcheck.NonNegative("-decoded-cache-mb", o.DecodedCacheMB),
-		flagcheck.NonNegative("-replay-batch", o.ReplayBatch),
 	); err != nil {
 		return err
 	}

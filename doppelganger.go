@@ -750,19 +750,18 @@ func (e *Evaluation) Traces(dir string, capture, replay bool) {
 	e.r.TraceReplay = replay
 }
 
-// BatchReplay accelerates warm-trace sweeps. cacheMB > 0 attaches an
-// in-memory decoded-capture cache of that many megabytes, so each capture
-// file is read and decoded once per sweep instead of once per consumer;
-// batch > 1 additionally replays up to that many identical-stream quality
-// cells in a single pass over one decoded stream. Results stay bit-identical
-// to sequential replay. No effect until Traces enables a directory.
-func (e *Evaluation) BatchReplay(batch, cacheMB int) {
+// DecodedCache speeds up warm-trace sweeps: cacheMB > 0 attaches an
+// in-memory decoded-capture cache of that many megabytes, so each capture a
+// hierarchy replay walks (baseline and guarded quality cells) is read and
+// decoded once per sweep instead of once per consumer. Results stay
+// bit-identical to uncached replay. No effect until Traces enables a
+// directory.
+func (e *Evaluation) DecodedCache(cacheMB int) {
 	if cacheMB > 0 {
 		c := trace.NewDecodedCache(int64(cacheMB) << 20)
 		c.AttachMetrics(e.r.Metrics)
 		e.r.DecodedCache = c
 	}
-	e.r.ReplayBatch = batch
 }
 
 // TraceStore is an opened, locked, scrubbed trace directory (see

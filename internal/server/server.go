@@ -114,13 +114,9 @@ type Config struct {
 
 	// DecodedCacheMB, when positive (and TraceDir is set), bounds a single
 	// decoded-capture LRU shared by every shard runner: a capture any shard
-	// decodes is replayable by the rest without re-reading the file, and
-	// cells are ring-routed by capture digest so repeat submissions land on
-	// the shard already holding their stream. ReplayBatch, when > 1, lets
-	// each shard's engine replay that many identical-stream quality cells
-	// in a single pass (sweep.Runner.ReplayBatch).
+	// decodes is replayable by the rest without re-reading the file. It also
+	// switches ring routing to capture digests (see routeKey).
 	DecodedCacheMB int
-	ReplayBatch    int
 
 	// Checkpoint, when non-nil, persists every completed result and primes
 	// every shard runner from already-loaded records (resume). The caller
@@ -348,7 +344,6 @@ func New(cfg Config) (*Server, error) {
 		r.TraceReplay = cfg.TraceReplay
 		r.TraceFS = cfg.TraceFS
 		r.DecodedCache = s.decoded
-		r.ReplayBatch = cfg.ReplayBatch
 		r.Checkpoint = cfg.Checkpoint
 		if cfg.Checkpoint != nil {
 			r.Resume(cfg.Checkpoint)
@@ -530,11 +525,11 @@ func (s *Server) dispatch(ctx context.Context, c Cell, key string) ([]byte, uint
 // routeKey picks the consistent-hash key for a cell. Plain servers route by
 // benchmark (Cell.RouteKey), keeping a benchmark's cells — and their memoized
 // baseline — on one shard. With a shared decoded-capture cache, cells route
-// by the digest of the capture file they replay: every cell replaying one
-// stream lands on the shard whose queue already carries its siblings, so the
-// quality-batch planner sees whole groups and the LRU isn't duplicated
-// across shards. Cells whose capture isn't on disk yet (cold directory) fall
-// back to benchmark routing; once recorded, resubmissions route by digest.
+// by the digest of the capture file they replay. Timing cells replay the
+// baseline's recording, so a benchmark's timing cells still land on its
+// baseline's shard, while its error cells spread across shards by capture.
+// Cells whose capture isn't on disk yet (cold directory) fall back to
+// benchmark routing; once recorded, resubmissions route by digest.
 func (s *Server) routeKey(c Cell) string {
 	if s.decoded == nil || len(s.shards) == 0 {
 		return c.RouteKey()

@@ -109,7 +109,6 @@ func TestServerDecodedCacheAndDigestRouting(t *testing.T) {
 	cfg.TraceDir = dir
 	cfg.TraceVerify = trace.VerifyOpen
 	cfg.DecodedCacheMB = 64
-	cfg.ReplayBatch = 8
 	cfg.Log = nil
 
 	first, err := New(cfg)

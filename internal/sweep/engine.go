@@ -117,17 +117,14 @@ func (r *Runner) PrewarmContext(ctx context.Context, g Grid) error {
 		tasks = append(tasks, base)
 
 		seen := map[string]bool{}
-		variantOn := func(parent *task, label string, run func(ctx context.Context) error) {
+		variant := func(label string, run func(ctx context.Context) error) {
 			if seen[label] {
 				return
 			}
 			seen[label] = true
 			t := &task{label: label, run: run, waiting: 1}
-			parent.dependents = append(parent.dependents, t)
+			base.dependents = append(base.dependents, t)
 			tasks = append(tasks, t)
-		}
-		variant := func(label string, run func(ctx context.Context) error) {
-			variantOn(base, label, run)
 		}
 		split := func(m int, frac float64) {
 			variant(fmt.Sprintf("%s/split/M%d/data%g/error", name, m, frac), func(ctx context.Context) error {
@@ -186,24 +183,11 @@ func (r *Runner) PrewarmContext(ctx context.Context, g Grid) error {
 			}
 		}
 		if g.Quality {
-			// With batching on, one planner task replays every group of
-			// identical-stream guarded cells in a single pass; the per-cell
-			// error tasks run after it and find their outcomes memoized
-			// (or compute sequentially whatever the batch could not serve).
-			qparent := base
-			if r.batchEnabled() {
-				bt := &task{label: name + "/quality-batch", waiting: 1, run: func(ctx context.Context) error {
-					return r.runQualityBatch(ctx, name)
-				}}
-				base.dependents = append(base.dependents, bt)
-				tasks = append(tasks, bt)
-				qparent = bt
-			}
 			for _, org := range GuardedOrgs {
 				org := org
 				for _, rate := range r.faultRates() {
 					rate := rate
-					variantOn(qparent, fmt.Sprintf("%s/quality/%s/%g/error", name, org, rate), func(ctx context.Context) error {
+					variant(fmt.Sprintf("%s/quality/%s/%g/error", name, org, rate), func(ctx context.Context) error {
 						_, err := r.QualityErrorContext(ctx, name, org, rate)
 						return err
 					})

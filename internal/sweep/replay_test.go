@@ -166,33 +166,44 @@ func TestReplayFaultQualityCells(t *testing.T) {
 	live := cells(traceRunner(0.02, "", only...))
 	cold := cells(traceRunner(0.02, dir, only...))
 	warm := cells(traceRunner(0.02, dir, only...))
-	for k, v := range live {
-		lv, cv, wv := v, cold[k], warm[k]
-		if qa, ok := lv.(QualityOutcome); ok {
-			qc, qw := cv.(QualityOutcome), wv.(QualityOutcome)
-			if !qualityOutcomeEqual(qa, qc) {
-				t.Errorf("%s: cold diverged from live:\nlive %+v\ncold %+v", k, qa, qc)
+	// Two warm Runners sharing one decoded cache: the first decodes the
+	// guarded cells' captures, the second replays them from memory.
+	dc := trace.NewDecodedCache(256 << 20)
+	shared := func() map[string]interface{} {
+		r := traceRunner(0.02, dir, only...)
+		r.DecodedCache = dc
+		return cells(r)
+	}
+	first := shared()
+	hits := dc.Stats().Hits
+	second := shared()
+	if st := dc.Stats(); st.Hits == hits {
+		t.Errorf("second Runner's loads never hit the shared decoded cache: %+v", st)
+	}
+	runs := []struct {
+		name string
+		got  map[string]interface{}
+	}{{"cold", cold}, {"warm", warm}, {"shared-cache first", first}, {"shared-cache second", second}}
+	for k, lv := range live {
+		for _, run := range runs {
+			gv := run.got[k]
+			if qa, ok := lv.(QualityOutcome); ok {
+				if qg := gv.(QualityOutcome); !qualityOutcomeEqual(qa, qg) {
+					t.Errorf("%s: %s diverged from live:\nlive %+v\ngot  %+v", k, run.name, qa, qg)
+				}
+			} else if gv != lv {
+				t.Errorf("%s: %s %v != live %v", k, run.name, gv, lv)
 			}
-			if !qualityOutcomeEqual(qa, qw) {
-				t.Errorf("%s: warm diverged from live:\nlive %+v\nwarm %+v", k, qa, qw)
-			}
-			continue
-		}
-		if cv != lv {
-			t.Errorf("%s: cold %v != live %v", k, cv, lv)
-		}
-		if wv != lv {
-			t.Errorf("%s: warm %v != live %v", k, wv, lv)
 		}
 	}
 }
 
 // TestDecodedCacheHoldsOnlyBaselines: a warm Runner with a decoded cache
 // serves split-, uni- and fault-error cells from a recorded directory
-// bit-identically to the cold Runner that recorded it, and afterwards the
-// shared cache holds only the baseline captures the cells scored against.
-// Output-only cells load their own captures with the output-only decode
-// and never enter the cache.
+// bit-identically to a live Runner and to the cold Runner that recorded
+// it, and afterwards the shared cache holds only the baseline captures the
+// cells scored against. Output-only cells load their own captures with the
+// output-only decode and never enter the cache.
 func TestDecodedCacheHoldsOnlyBaselines(t *testing.T) {
 	only := []string{"blackscholes", "kmeans"}
 	dir := t.TempDir()
@@ -218,14 +229,18 @@ func TestDecodedCacheHoldsOnlyBaselines(t *testing.T) {
 		}
 		return out
 	}
+	live := cells(traceRunner(0.02, "", only...))
 	cold := cells(traceRunner(0.02, dir, only...))
 	w := traceRunner(0.02, dir, only...)
 	w.DecodedCache = trace.NewDecodedCache(256 << 20)
 	w.Metrics = metrics.NewRegistry()
 	warm := cells(w)
-	for k, v := range cold {
+	for k, v := range live {
+		if cold[k] != v {
+			t.Errorf("%s: cold %x != live %x", k, cold[k], v)
+		}
 		if warm[k] != v {
-			t.Errorf("%s: warm %x != cold %x", k, warm[k], v)
+			t.Errorf("%s: warm %x != live %x", k, warm[k], v)
 		}
 	}
 	if n := w.Metrics.CounterValue("trace.records"); n != 0 {

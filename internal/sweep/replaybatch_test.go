@@ -3,35 +3,29 @@ package sweep
 import (
 	"fmt"
 	"math"
-	"strings"
 	"testing"
 
 	"doppelganger/internal/metrics"
 	"doppelganger/internal/trace"
 )
 
-// The batched-replay differential suite: a Prewarm with single-pass
-// multi-config replay enabled must leave exactly the bits a sequential
-// sweep computes — quality outcomes with their full breaker histories
-// included — while actually batching identical streams and sharing decoded
-// captures across runners.
+// The batched-versus-sequential differential suite: a grid computed as one
+// batch of engine tasks (Prewarm) over a trace directory must leave exactly
+// the bits that cell-by-cell sequential reads compute — quality outcomes
+// with their full breaker histories included — whichever order the engine's
+// workers happened to run the cells in.
 
 // TestBatchedQualityMatchesSequential runs the guarded quality cells three
-// ways: live-recording cold, batched over the warm directory through the
-// engine, and sequentially over the same warm directory through a second
-// runner sharing the first's decoded cache. All three must agree bit for
-// bit, the batch planner must have actually fused lanes, and the shared
-// cache must have served cross-runner hits.
+// ways: sequentially while recording cold, batched over the warm directory
+// through the engine, and sequentially over the same warm directory through
+// a second runner sharing the first's decoded cache. All three must agree
+// bit for bit, and the shared cache must have served cross-runner hits.
 func TestBatchedQualityMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
 	}
 	dir := t.TempDir()
 	only := []string{"kmeans"}
-	// Rates tiny enough that no fault ever fires: within one organization
-	// the recorded streams are byte-identical, so the planner has real
-	// groups to fuse (the general case degrades to singletons, which keep
-	// the sequential path).
 	rates := []float64{1e-9, 1e-10}
 	setup := func(r *Runner) *Runner {
 		r.FaultSeed = 42
@@ -58,14 +52,11 @@ func TestBatchedQualityMatchesSequential(t *testing.T) {
 	// Cold: live runs record the quality captures (and the baseline).
 	want := collect(setup(traceRunner(0.02, dir, only...)))
 
-	// Warm batched: the engine's quality-batch task replays fused groups;
+	// Warm batched: the engine's quality tasks replay every guarded cell;
 	// the per-cell reads below come from the primed memo.
-	var log strings.Builder
 	b := setup(traceRunner(0.02, dir, only...))
 	b.DecodedCache = trace.NewDecodedCache(256 << 20)
-	b.ReplayBatch = 8
 	b.Metrics = metrics.NewRegistry()
-	b.Log = &log
 	if err := b.Prewarm(Grid{Quality: true}); err != nil {
 		t.Fatal(err)
 	}
@@ -78,9 +69,6 @@ func TestBatchedQualityMatchesSequential(t *testing.T) {
 		if !qualityOutcomeEqual(w, g) {
 			t.Errorf("%s: batched diverged from live:\nlive %+v\nbatched %+v", k, w, g)
 		}
-	}
-	if !strings.Contains(log.String(), "batched guarded replay") {
-		t.Error("batch planner never fused a group (identical streams went sequential)")
 	}
 	if n := b.Metrics.CounterValue("trace.replays"); n < uint64(len(want)) {
 		t.Errorf("batched sweep counted %d replays, want at least %d", n, len(want))
@@ -101,16 +89,24 @@ func TestBatchedQualityMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestBatchedErrorCellsMatchSequential covers the decoded-cache fast path
-// the warm error-only sweep takes (baseline output served from its capture,
-// split/uni/fault cells from theirs): bits must match the live values.
+// TestBatchedErrorCellsMatchSequential prewarms a split, a uni and a fault
+// column through the engine, once cold (recording) and once warm over a
+// decoded cache, and requires every error cell to equal the value a live
+// runner computes by sequential reads. The warm batch must not execute a
+// single kernel: every cell, its timing twin and the baseline output it
+// scores against come from captures.
 func TestBatchedErrorCellsMatchSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
 	}
 	dir := t.TempDir()
-	cells := func(r *Runner) map[string]uint64 {
+	grid := Grid{DataFracs: []float64{BaseDataFrac}, UniFracs: []float64{0.25}, Faults: true}
+	setup := func(r *Runner) *Runner {
 		r.FaultSeed = 42
+		r.FaultRates = []float64{1e-4}
+		return r
+	}
+	cells := func(r *Runner) map[string]uint64 {
 		out := map[string]uint64{}
 		s, err := r.SplitError("kmeans", BaseMapBits, BaseDataFrac)
 		if err != nil {
@@ -129,26 +125,30 @@ func TestBatchedErrorCellsMatchSequential(t *testing.T) {
 		out["fault"] = math.Float64bits(fv)
 		return out
 	}
-	live := cells(traceRunner(0.02, "", "kmeans"))
-	cold := cells(traceRunner(0.02, dir, "kmeans"))
-	w := traceRunner(0.02, dir, "kmeans")
+	batched := func(r *Runner) map[string]uint64 {
+		if err := r.Prewarm(grid); err != nil {
+			t.Fatal(err)
+		}
+		return cells(r)
+	}
+	live := cells(setup(traceRunner(0.02, "", "kmeans")))
+	cold := batched(setup(traceRunner(0.02, dir, "kmeans")))
+	w := setup(traceRunner(0.02, dir, "kmeans"))
 	w.DecodedCache = trace.NewDecodedCache(256 << 20)
 	w.Metrics = metrics.NewRegistry()
-	warm := cells(w)
+	warm := batched(w)
 	for k, v := range live {
 		if cold[k] != v {
-			t.Errorf("%s: cold %x != live %x", k, cold[k], v)
+			t.Errorf("%s: cold batched %x != live sequential %x", k, cold[k], v)
 		}
 		if warm[k] != v {
-			t.Errorf("%s: decoded-cache warm %x != live %x", k, warm[k], v)
+			t.Errorf("%s: warm batched %x != live sequential %x", k, warm[k], v)
 		}
 	}
-	// The warm pass must not have executed a single kernel: every cell —
-	// and the baseline output it scores against — came from captures.
 	if n := w.Metrics.CounterValue("trace.records"); n != 0 {
-		t.Errorf("warm pass re-recorded %d captures", n)
+		t.Errorf("warm batch re-recorded %d captures", n)
 	}
 	if st := w.DecodedCache.Stats(); st.Entries == 0 {
-		t.Errorf("decoded cache empty after a warm sweep: %+v", st)
+		t.Errorf("decoded cache empty after a warm batch: %+v", st)
 	}
 }

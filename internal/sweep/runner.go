@@ -100,12 +100,6 @@ type Runner struct {
 	// quality cells), fully decoded; output-only cells load theirs with the
 	// output-only decode and never enter it.
 	DecodedCache *trace.DecodedCache
-	// ReplayBatch, when > 1, turns on single-pass multi-config replay for
-	// quality cells during Prewarm: up to ReplayBatch cells whose captures
-	// carry byte-identical access streams are driven through independent
-	// hierarchies in one walk of the decoded stream (see batch.go).
-	// Requires TraceDir and a DecodedCache.
-	ReplayBatch int
 
 	// Metrics, when non-nil, aggregates instrument totals across every
 	// simulation the runner performs; each memoized task also leaves a
@@ -127,7 +121,6 @@ type Runner struct {
 	errCache     *singleflight.Memo[float64]
 	timeCache    *singleflight.Memo[*timesim.Result]
 	qualityCache *singleflight.Memo[*QualityOutcome]
-	traceCache   *singleflight.Memo[*trace.Capture]
 }
 
 // baseScore is the slice of the baseline artifacts every error cell scores
@@ -171,7 +164,6 @@ func NewRunner(scale float64) *Runner {
 		errCache:      singleflight.New[float64](),
 		timeCache:     singleflight.New[*timesim.Result](),
 		qualityCache:  singleflight.New[*QualityOutcome](),
-		traceCache:    singleflight.New[*trace.Capture](),
 	}
 }
 

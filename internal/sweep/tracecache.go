@@ -92,23 +92,35 @@ func (r *Runner) CellCaptureIdent(kind, bench, org string, m int, frac, rate flo
 	return workloads.CaptureIdent(key, r.Scale, r.Cores, extra), true
 }
 
+// decodedHit probes the shared decoded-capture cache for the capture at
+// path. The probe reads only the file's 16-byte digest preamble, and a
+// resident capture is served only if it was recorded under ident and this
+// Runner's core count; anything else is a miss (nil).
+func (r *Runner) decodedHit(fsys trace.FS, path, ident string) *trace.Capture {
+	d, err := trace.FileDigestFS(fsys, path)
+	if err != nil {
+		return nil
+	}
+	if c := r.DecodedCache.Get(d); c != nil && c.Header.ConfigKey == ident && c.Header.Cores == r.Cores {
+		return c
+	}
+	return nil
+}
+
 // loadDecoded serves the fully decoded capture for ident from the shared
 // decoded-capture cache, falling back to — and populating the cache from —
-// the on-disk store. The probe costs only the 16-byte digest preamble on a
-// hit. Any miss (cold directory, stale or corrupt capture, storage trouble)
-// returns nil and leaves recovery to the caller's sequential path; a
-// quarantined file is counted and moved here, exactly as funcRun would
-// have, so net trace.* counters match a sequential sweep's.
+// the on-disk store. Any miss (cold directory, stale or corrupt capture,
+// storage trouble) returns nil and leaves recovery to the caller's full
+// path; a quarantined file is counted and moved here, exactly as funcRun
+// would have, so net trace.* counters match a run without the shortcut.
 func (r *Runner) loadDecoded(ident string) *trace.Capture {
 	if r.DecodedCache == nil || r.TraceDir == "" {
 		return nil
 	}
 	fsys := r.traceFS()
 	path := r.tracePath(ident)
-	if d, err := trace.FileDigestFS(fsys, path); err == nil {
-		if c := r.DecodedCache.Get(d); c != nil && c.Header.ConfigKey == ident && c.Header.Cores == r.Cores {
-			return c
-		}
+	if c := r.decodedHit(fsys, path, ident); c != nil {
+		return c
 	}
 	c, outcome, err := workloads.LoadCaptureRecover(fsys, r.TraceDir, path, ident, r.Cores, false)
 	switch outcome {
@@ -130,14 +142,17 @@ func (r *Runner) loadDecoded(ident string) *trace.Capture {
 // the stream through a fresh hierarchy, which evolves bit-identically to
 // the live run.
 //
+// funcRun keeps no memo of its own: every caller already runs inside the
+// singleflight memo of the cell the capture identity is built from, so a
+// capture is loaded (or recorded) once per cell computation.
+//
 // Storage faults never fail a cell (outside -trace-replay): a corrupt or
 // stale capture is quarantined and transparently re-recorded, and an
 // unavailable store — read errors, ENOSPC, unwritable dir — degrades the
 // cell to plain live execution, counted in the trace.degraded metric.
 // Either way the cell's row is bit-identical to a clean run's. A failure of
-// the live run itself still propagates, and both this cache and the cell
-// memos forget errors, so a retry re-records instead of replaying a
-// poisoned entry.
+// the live run itself still propagates, and the cell memos forget errors,
+// so a retry re-records instead of replaying a poisoned entry.
 func (r *Runner) funcRun(ctx context.Context, req funcReq) (*workloads.RunResult, error) {
 	f, err := workloads.ByName(req.name)
 	if err != nil {
@@ -154,104 +169,91 @@ func (r *Runner) funcRun(ctx context.Context, req funcReq) (*workloads.RunResult
 	// trace streams (the file is still fully integrity-checked). They also
 	// stay out of the shared decoded cache: it holds the captures a
 	// hierarchy replay walks again. An ident's fast-ness never varies
-	// between requests, so neither the memo nor the decoded cache can hand
-	// a lite capture to a hierarchy replay.
-	decoded := r.DecodedCache
-	if req.fast {
-		decoded = nil
-	}
-	var live *workloads.RunResult
-	capture, err := r.traceCache.Do(ident, func() (*trace.Capture, error) {
-		persist := true
-		if !r.TraceCapture {
-			if decoded != nil {
-				// Shared decoded-capture cache: another Runner (or an earlier
-				// sweep over this Runner's cache) may already have decoded
-				// this file — the probe reads only the digest preamble.
-				if d, derr := trace.FileDigestFS(fsys, path); derr == nil {
-					if c := decoded.Get(d); c != nil && c.Header.ConfigKey == ident && c.Header.Cores == r.Cores {
-						r.Metrics.Counter("trace.replays").Add(1)
-						r.logf("[%s] replaying decoded capture %s (%s)", req.name, filepath.Base(path), req.key)
-						return c, nil
-					}
-				}
+	// between requests, so the decoded cache never hands a lite capture to
+	// a hierarchy replay.
+	decoded := r.DecodedCache != nil && !req.fast
+	persist := true
+	if !r.TraceCapture {
+		var c *trace.Capture
+		if decoded {
+			// Another Runner (or an earlier sweep over this Runner's cache)
+			// may already have decoded this file.
+			if c = r.decodedHit(fsys, path, ident); c != nil {
+				r.logf("[%s] replaying decoded capture %s (%s)", req.name, filepath.Base(path), req.key)
 			}
-			c, outcome, lerr := workloads.LoadCaptureRecover(fsys, r.TraceDir, path, ident, r.Cores, req.fast)
+		}
+		if c == nil {
+			var outcome workloads.LoadOutcome
+			c, outcome, err = workloads.LoadCaptureRecover(fsys, r.TraceDir, path, ident, r.Cores, req.fast)
 			if r.TraceReplay && outcome != workloads.LoadOK {
-				if lerr == nil {
-					lerr = os.ErrNotExist
+				if err == nil {
+					err = os.ErrNotExist
 				}
-				return nil, fmt.Errorf("sweep: -trace-replay: no usable capture for %s: %w", req.key, lerr)
+				return nil, fmt.Errorf("sweep: -trace-replay: no usable capture for %s: %w", req.key, err)
 			}
 			switch outcome {
 			case workloads.LoadOK:
-				r.Metrics.Counter("trace.replays").Add(1)
 				r.logf("[%s] replaying capture %s (%s)", req.name, filepath.Base(path), req.key)
-				if decoded != nil {
-					decoded.Put(c.FileCRC, c)
+				if decoded {
+					r.DecodedCache.Put(c.FileCRC, c)
 				}
-				return c, nil
 			case workloads.LoadMiss:
 				// Cold cache: record below.
 			case workloads.LoadQuarantined:
 				r.Metrics.Counter("trace.quarantines").Add(1)
-				r.logf("[%s] capture %s unusable (%v); re-recording", req.name, filepath.Base(path), lerr)
+				r.logf("[%s] capture %s unusable (%v); re-recording", req.name, filepath.Base(path), err)
 			case workloads.LoadUnavailable:
 				// The bytes may be fine but the I/O path is not: leave the
 				// file alone, run live, and don't trust the store with a
 				// new write either.
 				persist = false
 				r.Metrics.Counter("trace.degraded").Add(1)
-				r.logf("[%s] trace store unavailable (%v); running %s live unrecorded", req.name, lerr, req.key)
+				r.logf("[%s] trace store unavailable (%v); running %s live unrecorded", req.name, err, req.key)
 			}
 		}
-		opt := req.opt
-		opt.Record = true
-		run, rerr := workloads.RunFunctionalContext(ctx, f.New(r.Scale), req.llcb, opt)
-		if rerr != nil {
-			return nil, rerr
-		}
-		c, cerr := workloads.CaptureOf(run, trace.FileHeader{
-			Benchmark: req.name,
-			Scale:     r.Scale,
-			Cores:     r.Cores,
-			Seed:      req.seed,
-			ConfigKey: ident,
-		})
-		if cerr != nil {
-			return nil, cerr
-		}
-		live = run
-		if persist {
-			if perr := persistCapture(fsys, r.TraceDir, path, c); perr != nil {
-				// Graceful degradation: the cell's live result is complete
-				// and bit-identical to what a recorded run would produce —
-				// losing the capture only costs the next sweep a re-record.
-				r.Metrics.Counter("trace.degraded").Add(1)
-				r.logf("[%s] capture %s not persisted (%v); serving live result", req.name, filepath.Base(path), perr)
-			} else {
-				r.Metrics.Counter("trace.records").Add(1)
-				if decoded != nil {
-					// WriteFileFS stamped c.FileCRC; the freshly recorded
-					// capture is immediately servable to other Runners.
-					decoded.Put(c.FileCRC, c)
-				}
+		if c != nil {
+			r.Metrics.Counter("trace.replays").Add(1)
+			if req.fast {
+				return &workloads.RunResult{Output: c.Output}, nil
 			}
+			return workloads.ReplayFunctionalContext(ctx, f.New(r.Scale), c, req.llcb, req.opt)
 		}
-		return c, nil
+	}
+	opt := req.opt
+	opt.Record = true
+	run, err := workloads.RunFunctionalContext(ctx, f.New(r.Scale), req.llcb, opt)
+	if err != nil {
+		return nil, err
+	}
+	c, err := workloads.CaptureOf(run, trace.FileHeader{
+		Benchmark: req.name,
+		Scale:     r.Scale,
+		Cores:     r.Cores,
+		Seed:      req.seed,
+		ConfigKey: ident,
 	})
 	if err != nil {
 		return nil, err
 	}
-	if live != nil {
-		// This call recorded the capture: its live result already carries
-		// every side effect (snapshots, metrics, guard state).
-		return live, nil
+	if persist {
+		if err := persistCapture(fsys, r.TraceDir, path, c); err != nil {
+			// Graceful degradation: the cell's live result is complete and
+			// bit-identical to what a recorded run would produce — losing
+			// the capture only costs the next sweep a re-record.
+			r.Metrics.Counter("trace.degraded").Add(1)
+			r.logf("[%s] capture %s not persisted (%v); serving live result", req.name, filepath.Base(path), err)
+		} else {
+			r.Metrics.Counter("trace.records").Add(1)
+			if decoded {
+				// WriteFileFS stamped c.FileCRC; the freshly recorded
+				// capture is immediately servable to other Runners.
+				r.DecodedCache.Put(c.FileCRC, c)
+			}
+		}
 	}
-	if req.fast {
-		return &workloads.RunResult{Output: capture.Output}, nil
-	}
-	return workloads.ReplayFunctionalContext(ctx, f.New(r.Scale), capture, req.llcb, req.opt)
+	// The live run already carries every side effect (snapshots, metrics,
+	// guard state).
+	return run, nil
 }
 
 // persistCapture commits one freshly recorded capture: ensure the

@@ -7,33 +7,29 @@ import (
 	"doppelganger/internal/metrics"
 )
 
-// The digest metadata is what keys the decoded cache and groups batched
-// replays: WriteTo and both decode modes must agree on FileCRC, WriteTo and
-// the full decode on StreamDigest (an output-only decode leaves it 0), the
-// preamble probe must match FileCRC, and header-only differences must
-// change FileCRC but not StreamDigest.
+// The digest metadata is what keys the decoded cache: WriteTo and both
+// decode modes must agree on FileCRC, the preamble probe must match it, and
+// a header-only difference must change it.
 func TestDecodedDigestFields(t *testing.T) {
 	c := testCapture(t)
 	raw := encodeCapture(t, c)
-	if c.FileCRC == 0 || c.StreamDigest == 0 {
-		t.Fatalf("WriteTo left digests unset: file %016x stream %016x", c.FileCRC, c.StreamDigest)
+	if c.FileCRC == 0 {
+		t.Fatal("WriteTo left the file digest unset")
 	}
 
 	full, err := ReadCapture(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if full.FileCRC != c.FileCRC || full.StreamDigest != c.StreamDigest {
-		t.Fatalf("decode digests (file %016x stream %016x) differ from encode (file %016x stream %016x)",
-			full.FileCRC, full.StreamDigest, c.FileCRC, c.StreamDigest)
+	if full.FileCRC != c.FileCRC {
+		t.Fatalf("decode file digest %016x differs from encode %016x", full.FileCRC, c.FileCRC)
 	}
 	lite, err := ReadCaptureOutput(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lite.FileCRC != c.FileCRC || lite.StreamDigest != 0 {
-		t.Fatalf("output-only decode digests (file %016x stream %016x), want file %016x and stream 0",
-			lite.FileCRC, lite.StreamDigest, c.FileCRC)
+	if lite.FileCRC != c.FileCRC {
+		t.Fatalf("output-only decode file digest %016x, want %016x", lite.FileCRC, c.FileCRC)
 	}
 
 	// The cheap preamble probe and the full decode must name the same file.
@@ -43,25 +39,13 @@ func TestDecodedDigestFields(t *testing.T) {
 		t.Fatalf("preamble digest %016x != decoded FileCRC %016x", got, full.FileCRC)
 	}
 
-	// A header-only change (different cell identity) keeps the stream digest
-	// but moves the file digest.
+	// A header-only change (different cell identity) moves the file digest.
 	c2 := testCapture(t)
 	c2.Header.ConfigKey = "dgtf1|other/blackscholes|scale=0.25|cores=2"
 	c2.Header.Seed = 99
 	encodeCapture(t, c2)
-	if c2.StreamDigest != c.StreamDigest {
-		t.Fatalf("header-only change moved the stream digest: %016x != %016x", c2.StreamDigest, c.StreamDigest)
-	}
 	if c2.FileCRC == c.FileCRC {
 		t.Fatalf("header change did not move the file digest (%016x)", c2.FileCRC)
-	}
-
-	// A content change moves both.
-	c3 := testCapture(t)
-	c3.Output = append(c3.Output, 3.5)
-	encodeCapture(t, c3)
-	if c3.StreamDigest == c.StreamDigest {
-		t.Fatalf("output change did not move the stream digest (%016x)", c3.StreamDigest)
 	}
 }
 

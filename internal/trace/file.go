@@ -98,20 +98,12 @@ type Capture struct {
 	Recorder    *Recorder
 	Output      []float64
 
-	// FileCRC and StreamDigest are in-memory identity metadata, populated by
-	// the decoder and by WriteTo — they are derived from the serialized bytes,
-	// never stored in them. FileCRC is the preamble's whole-file CRC64-ECMA
-	// (the same value FileDigest reads from the first 16 bytes, so a cheap
-	// preamble probe can be matched against an already-decoded capture).
-	// StreamDigest is a CRC64-ECMA over the body bytes of every section
-	// EXCEPT the header: two captures whose replayable content (annotations,
-	// memory image, access streams, global order, output) is byte-identical
-	// share a StreamDigest even when their headers (cell identity, seed)
-	// differ — the grouping key batched replay uses to drive many cells from
-	// one decode. Only WriteTo and full decodes compute it; an output-only
-	// decode (ReadCaptureOutput) leaves it 0.
-	FileCRC      uint64
-	StreamDigest uint64
+	// FileCRC is in-memory identity metadata, populated by the decoder and
+	// by WriteTo — it is derived from the serialized bytes, never stored in
+	// them. It is the preamble's whole-file CRC64-ECMA (the same value
+	// FileDigest reads from the first 16 bytes, so a cheap preamble probe
+	// can be matched against an already-decoded capture).
+	FileCRC uint64
 }
 
 // --- encoding ---
@@ -169,10 +161,6 @@ func (c *Capture) encode() ([]byte, error) {
 	}
 	var out bytes.Buffer
 	var w sectionWriter
-	// Every non-header section's payload also folds into the stream digest
-	// (see Capture.StreamDigest); computing it during encode means a freshly
-	// recorded capture is batch-groupable without re-reading its own file.
-	stream := uint64(0)
 
 	w.str(c.Header.Benchmark)
 	w.u64(math.Float64bits(c.Header.Scale))
@@ -192,7 +180,6 @@ func (c *Capture) encode() ([]byte, error) {
 		w.u64(math.Float64bits(rg.Min))
 		w.u64(math.Float64bits(rg.Max))
 	}
-	stream = crc64.Update(stream, crcTable, w.buf.Bytes())
 	appendSection(&out, secAnnotations, w.buf.Bytes())
 	w.buf.Reset()
 
@@ -215,7 +202,6 @@ func (c *Capture) encode() ([]byte, error) {
 		prevPN = pn
 		w.buf.Write(blk[:])
 	})
-	stream = crc64.Update(stream, crcTable, w.buf.Bytes())
 	appendSection(&out, secMemory, w.buf.Bytes())
 	w.buf.Reset()
 
@@ -241,7 +227,6 @@ func (c *Capture) encode() ([]byte, error) {
 			}
 		}
 	}
-	stream = crc64.Update(stream, crcTable, w.buf.Bytes())
 	appendSection(&out, secTraces, w.buf.Bytes())
 	w.buf.Reset()
 
@@ -249,7 +234,6 @@ func (c *Capture) encode() ([]byte, error) {
 	for _, core := range c.Recorder.Order {
 		w.uvarint(uint64(core))
 	}
-	stream = crc64.Update(stream, crcTable, w.buf.Bytes())
 	appendSection(&out, secOrder, w.buf.Bytes())
 	w.buf.Reset()
 
@@ -257,12 +241,10 @@ func (c *Capture) encode() ([]byte, error) {
 	for _, v := range c.Output {
 		w.u64(math.Float64bits(v))
 	}
-	stream = crc64.Update(stream, crcTable, w.buf.Bytes())
 	appendSection(&out, secOutput, w.buf.Bytes())
 	w.buf.Reset()
 
 	appendSection(&out, secEnd, nil)
-	c.StreamDigest = stream
 	return out.Bytes(), nil
 }
 
@@ -472,10 +454,9 @@ func ReadCapture(r io.Reader) (*Capture, error) {
 // ReadCaptureOutput decodes only a capture's header, annotations and output
 // vector. The memory, trace and order sections are still fully read and
 // verified (section CRCs and the whole-file digest), but nothing
-// proportional to their contents is materialized and no StreamDigest is
-// computed — the cheap path for consumers that serve a capture's result
-// without replaying it. The cross-section order/stream consistency check is
-// necessarily skipped.
+// proportional to their contents is materialized — the cheap path for
+// consumers that serve a capture's result without replaying it. The
+// cross-section order/stream consistency check is necessarily skipped.
 func ReadCaptureOutput(r io.Reader) (*Capture, error) {
 	return readCapture(r, sizeHint(r), true)
 }
@@ -551,14 +532,6 @@ func decodeCapture(digest uint64, buf []byte, outputOnly bool) (*Capture, error)
 
 	c := &Capture{FileCRC: digest}
 	for i, id := range sectionOrder {
-		if !outputOnly && id != secHeader {
-			// The stream digest (Capture.StreamDigest) spans every section but
-			// the header, so header-only differences (cell identity, seed)
-			// don't split otherwise-identical replay streams. Only full
-			// decodes need it: the batch planner groups the captures it
-			// loads, and it loads them fully.
-			c.StreamDigest = crc64.Update(c.StreamDigest, crcTable, bodies[i])
-		}
 		if outputOnly && (id == secMemory || id == secTraces || id == secOrder) {
 			continue // verified above, never materialized
 		}

@@ -145,97 +145,58 @@ func LoadCaptureRecover(fsys trace.FS, traceDir, path, configKey string, cores i
 // closures capture the addresses Init assigns, and the resulting
 // annotations double as a staleness check against the capture.
 func ReplayFunctionalContext(ctx context.Context, b *Benchmark, cap *trace.Capture, llcb LLCBuilder, opt RunOptions) (*RunResult, error) {
-	rs, err := ReplayFunctionalBatch(ctx, b, cap, []ReplaySpec{{LLCB: llcb, Opt: opt}})
-	if err != nil {
-		return nil, err
+	if opt.Cores == 0 {
+		opt.Cores = 4
 	}
-	return rs[0], nil
-}
-
-// ReplaySpec names one lane of a batched replay: the LLC organization to
-// build and the per-lane run options (metrics registry, fault injector,
-// quality guard, snapshot hooks). Each lane gets fully private state.
-type ReplaySpec struct {
-	LLCB LLCBuilder
-	Opt  RunOptions
-}
-
-// ReplayFunctionalBatch replays one recorded capture through len(specs)
-// independent cache hierarchies in a single pass over the access stream:
-// the trace is decoded and its global order walked once, and every record
-// fans out to each lane via funcsim.ReplayBatchContext. Lane i's functional
-// evolution — and its RunResult, bit for bit — is identical to calling
-// ReplayFunctionalContext with specs[i] alone; only the shared front-end
-// cost (benchmark Init, staleness check, cursor stepping) is paid once.
-func ReplayFunctionalBatch(ctx context.Context, b *Benchmark, cap *trace.Capture, specs []ReplaySpec) ([]*RunResult, error) {
-	if len(specs) == 0 {
-		return nil, fmt.Errorf("workloads: batch replay for %s with no lanes", b.Name)
-	}
-	for i := range specs {
-		if specs[i].Opt.Cores == 0 {
-			specs[i].Opt.Cores = 4
-		}
-		if cap.Header.Cores != specs[i].Opt.Cores {
-			return nil, fmt.Errorf("workloads: stale capture for %s: recorded with %d cores, replaying with %d",
-				b.Name, cap.Header.Cores, specs[i].Opt.Cores)
-		}
+	if cap.Header.Cores != opt.Cores {
+		return nil, fmt.Errorf("workloads: stale capture for %s: recorded with %d cores, replaying with %d",
+			b.Name, cap.Header.Cores, opt.Cores)
 	}
 	scratch := memdata.NewStore()
 	ann := b.Init(scratch, DefaultBase)
 	if !annotationsEqual(ann, cap.Annotations) {
 		return nil, fmt.Errorf("workloads: stale capture for %s: annotations differ from the current layout (re-record)", b.Name)
 	}
-	hs := make([]*funcsim.Hierarchy, len(specs))
-	llcs := make([]core.LLC, len(specs))
-	sts := make([]*memdata.Store, len(specs))
-	for i, sp := range specs {
-		st := cap.InitialMem.Clone()
-		llc := sp.LLCB(st, ann)
-		h := funcsim.New(HierConfig(sp.Opt.Cores), llc, st, ann, nil)
-		h.AttachMetrics(sp.Opt.Metrics)
-		h.AttachFaults(sp.Opt.Faults)
-		h.AttachQuality(sp.Opt.Quality)
-		h.SnapshotEvery = sp.Opt.SnapshotEvery
-		h.SnapshotFn = sp.Opt.SnapshotFn
-		hs[i], llcs[i], sts[i] = h, llc, st
-	}
-	if err := funcsim.ReplayBatchContext(ctx, hs, cap.Recorder); err != nil {
+	st := cap.InitialMem.Clone()
+	llc := llcb(st, ann)
+	h := funcsim.New(HierConfig(opt.Cores), llc, st, ann, nil)
+	h.AttachMetrics(opt.Metrics)
+	h.AttachFaults(opt.Faults)
+	h.AttachQuality(opt.Quality)
+	h.SnapshotEvery = opt.SnapshotEvery
+	h.SnapshotFn = opt.SnapshotFn
+	if err := funcsim.ReplayStreamContext(ctx, h, cap.Recorder); err != nil {
 		return nil, err
 	}
-	out := make([]*RunResult, len(specs))
-	for i, sp := range specs {
-		llc, st, h := llcs[i], sts[i], hs[i]
-		if sp.Opt.SnapshotFn != nil {
-			sp.Opt.SnapshotFn(llc)
-		}
-		tags, blocks := llc.TagEntries(), llc.DataBlocks()
-		res := &RunResult{}
-		var dopp *core.Doppelganger
-		switch l := llc.(type) {
-		case *core.Split:
-			dopp = l.Doppel
-		case *core.Doppelganger:
-			dopp = l
-		}
-		if dopp != nil {
-			stats := dopp.Stats
-			res.DoppelStats = &stats
-			res.AvgTagsPerData = dopp.AvgTagsPerData()
-			res.CompressionRatio = dopp.CompressionRatio()
-		}
-		h.Flush()
-		res.Output = b.Output(st)
-		res.Store = st
-		res.InitialMem = cap.InitialMem
-		res.Annotations = ann
-		res.Recorder = cap.Recorder
-		res.Hier = h
-		res.LLC = llc
-		res.TagsAtEnd = tags
-		res.DataBlocksAtEnd = blocks
-		out[i] = res
+	if opt.SnapshotFn != nil {
+		opt.SnapshotFn(llc)
 	}
-	return out, nil
+	tags, blocks := llc.TagEntries(), llc.DataBlocks()
+	res := &RunResult{}
+	var dopp *core.Doppelganger
+	switch l := llc.(type) {
+	case *core.Split:
+		dopp = l.Doppel
+	case *core.Doppelganger:
+		dopp = l
+	}
+	if dopp != nil {
+		stats := dopp.Stats
+		res.DoppelStats = &stats
+		res.AvgTagsPerData = dopp.AvgTagsPerData()
+		res.CompressionRatio = dopp.CompressionRatio()
+	}
+	h.Flush()
+	res.Output = b.Output(st)
+	res.Store = st
+	res.InitialMem = cap.InitialMem
+	res.Annotations = ann
+	res.Recorder = cap.Recorder
+	res.Hier = h
+	res.LLC = llc
+	res.TagsAtEnd = tags
+	res.DataBlocksAtEnd = blocks
+	return res, nil
 }
 
 // annotationsEqual reports whether two annotation sets declare identical
