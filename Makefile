@@ -10,8 +10,10 @@
 # `trace-smoke` proves the persistent trace cache end to end under the race
 # detector (capture, replay, strict-replay rejection, persist-failure
 # degradation, the decoded-capture cache with its digests and LRU eviction
-# under memory pressure, output-only cells kept out of that cache) and is
-# folded into `race` alongside the other smokes.
+# under memory pressure, output-only cells kept out of that cache; the
+# facade's record/replay through the same capture gateway and doppelsim's
+# -savetrace/-replay round trip) and is folded into `race` alongside the
+# other smokes.
 # `chaos-smoke` runs the short-mode chaos soak (cmd/chaossoak) under the race
 # detector — corruption/quarantine, SIGKILLed recorders, fault-injecting
 # filesystem — and is folded into `race`; the full 50-round soak is
@@ -97,6 +99,8 @@ loadtest:
 trace-smoke:
 	$(GO) test -race -cpu 1,4 -run 'TestTraceSmoke|TestTraceReplayRequiresCapture|TestTracePersistFailureDegradesLive|TestDecodedCacheHoldsOnlyBaselines' ./internal/sweep/
 	$(GO) test -race -run 'TestCapture|TestCursor|TestWriteFile|TestOpenStore|TestQuarantineOneWayDoor|TestVerifyFileModes|TestReadErrorClassification|TestDecodedDigestFields|TestDecodedCache' ./internal/trace/
+	$(GO) test -race -run 'TestFacadeTraceRecordReplay|TestFacadeTraceReplayRequiresCapture|TestFacadeCaptureMatchesSweep' .
+	$(GO) test -race -run 'TestSaveTraceReplay' ./cmd/doppelsim/
 
 chaos-smoke:
 	$(GO) test -race -short -run 'TestChaosSoakShort' ./cmd/chaossoak/

@@ -5,8 +5,8 @@
 //
 //	doppelsim -bench jpeg -llc split -map 14 -datafrac 0.25 -scale 0.5
 //	doppelsim -bench jmeint+kmeans -llc unified          # multiprogrammed
-//	doppelsim -bench canneal -savetrace canneal.trace    # record a bundle
-//	doppelsim -replay canneal.trace -llc split -map 12   # replay offline
+//	doppelsim -bench canneal -savetrace canneal.dgt      # record a capture
+//	doppelsim -replay canneal.dgt -llc split -map 12     # replay offline
 //	doppelsim -bench jpeg -fault-rate 1e-4 -quality-budget 0.05   # guarded
 //
 // LLC organizations: baseline (conventional 2 MB), split (1 MB precise +
@@ -25,6 +25,7 @@ import (
 	"doppelganger"
 	"doppelganger/internal/faults"
 	"doppelganger/internal/timesim"
+	"doppelganger/internal/trace"
 	"doppelganger/internal/workloads"
 )
 
@@ -44,8 +45,8 @@ func main() {
 		scale    = flag.Float64("scale", 1, "workload scale (1 = paper-size working sets)")
 		cores    = flag.Int("cores", 4, "number of cores")
 		timing   = flag.Bool("timing", false, "also run the cycle-level timing comparison vs the baseline")
-		saveTo   = flag.String("savetrace", "", "record the benchmark on the baseline LLC and save a replayable trace bundle to this file")
-		replay   = flag.String("replay", "", "replay a saved trace bundle against the chosen LLC (skips functional execution)")
+		saveTo   = flag.String("savetrace", "", "record the benchmark on the baseline LLC and save its capture file (the baseline capture -trace-dir records) to this file")
+		replay   = flag.String("replay", "", "replay a capture file saved with -savetrace against the chosen LLC (skips functional execution)")
 
 		faultRate  = flag.Float64("fault-rate", 0, "per-access fault-injection probability against the chosen LLC (0 disables)")
 		faultSeed  = flag.Uint64("fault-seed", 1, "fault-injection seed; the same seed reproduces the same fault sites")
@@ -167,14 +168,14 @@ func main() {
 	}
 
 	if *saveTo != "" {
-		if err := saveBundle(*bench, *scale, *cores, *saveTo, reg); err != nil {
+		if err := saveTrace(*bench, *scale, *cores, *saveTo, reg); err != nil {
 			fatal(err)
 		}
 		writeObservability(*bench + "/record")
 		return
 	}
 	if *replay != "" {
-		if err := replayBundle(*replay, *llc, *mapBits, *dataFrac, *cores, reg, tw); err != nil {
+		if err := replayTrace(*replay, *llc, *mapBits, *dataFrac, *cores, reg, tw); err != nil {
 			fatal(err)
 		}
 		writeObservability(*replay + "/" + *llc)
@@ -311,44 +312,47 @@ func main() {
 	writeObservability(*bench + "/" + *llc)
 }
 
-// saveBundle records the benchmark on the baseline LLC and writes a
-// self-contained trace bundle (traces + initial memory + annotations).
-func saveBundle(bench string, scale float64, cores int, path string, reg *doppelganger.MetricsRegistry) error {
+// saveTrace records the benchmark on the baseline LLC and writes the run as
+// a capture file: the same bytes a -trace-dir run records for the
+// benchmark's baseline cell.
+func saveTrace(bench string, scale float64, cores int, path string, reg *doppelganger.MetricsRegistry) error {
 	f, err := workloads.ByName(bench)
 	if err != nil {
 		return err
 	}
 	run := workloads.RunFunctional(f.New(scale), workloads.BaselineBuilder(2<<20, 16),
 		workloads.RunOptions{Cores: cores, Record: true, Metrics: reg})
-	b, err := workloads.BundleOf(run)
+	c, err := workloads.CaptureOf(run, trace.FileHeader{
+		Benchmark: bench,
+		Scale:     scale,
+		Cores:     cores,
+		ConfigKey: workloads.CaptureIdent("base/"+bench, scale, cores, ""),
+	})
 	if err != nil {
 		return err
 	}
-	out, err := os.Create(path)
+	if err := c.WriteFile(path); err != nil {
+		return err
+	}
+	fi, err := os.Stat(path)
 	if err != nil {
 		return err
 	}
-	defer out.Close()
-	n, err := b.WriteTo(out)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("saved %s: %d accesses, %d bytes\n", path, run.Recorder.Len(), n)
+	fmt.Printf("saved %s: %d accesses, %d bytes\n", path, run.Recorder.Len(), fi.Size())
 	return nil
 }
 
-// replayBundle loads a trace bundle and replays it cycle-accurately against
-// the chosen organization.
-func replayBundle(path, llc string, mapBits int, dataFrac float64, cores int,
+// replayTrace loads a capture file and replays its recording
+// cycle-accurately against the chosen organization.
+func replayTrace(path, llc string, mapBits int, dataFrac float64, cores int,
 	reg *doppelganger.MetricsRegistry, tw *doppelganger.TraceWriter) error {
-	in, err := os.Open(path)
+	c, err := trace.ReadCaptureFile(path)
 	if err != nil {
 		return err
 	}
-	defer in.Close()
-	b, err := workloads.ReadBundle(in)
-	if err != nil {
-		return err
+	if c.Header.Cores != cores {
+		return fmt.Errorf("%s was recorded with %d cores, but -cores is %d (replay it with -cores %d)",
+			path, c.Header.Cores, cores, c.Header.Cores)
 	}
 	if dataFrac == 0 {
 		dataFrac = 0.25
@@ -372,7 +376,7 @@ func replayBundle(path, llc string, mapBits int, dataFrac float64, cores int,
 	if tw != nil {
 		cfg.Trace, cfg.TracePID, cfg.TraceLabel = tw, 1, path+" ("+llc+")"
 	}
-	res := timesim.Run(b.Traces, b.InitialMem, b.Annotations, builder, cfg)
+	res := timesim.Run(c.Recorder, c.InitialMem, c.Annotations, builder, cfg)
 	if err := res.CrossCheck(); err != nil {
 		return err
 	}

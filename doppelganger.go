@@ -28,7 +28,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 	"sync"
 	"time"
@@ -318,75 +317,17 @@ func cellKey(name string, kind LLCKind, opt *RunOptions) string {
 	return "base/" + name
 }
 
-// runRouted is the facade's trace-cache gateway: without a trace directory
-// it is exactly the live path; with one, it replays a valid capture of the
-// identified simulation, or records one (atomically) from a live run. mk
-// must return a fresh benchmark instance per call — replay needs its own to
-// re-derive the Output closure's addresses.
-//
-// Storage faults never fail a run (outside TraceReplay): corrupt or stale
-// captures are quarantined and re-recorded, and an unavailable store —
-// read errors, ENOSPC, unwritable dir — degrades the run to plain live
-// execution. Both recoveries count on opt.Metrics under trace.*, matching
-// the sweep runner's instrumentation.
-func runRouted(ctx context.Context, opt *RunOptions, name, key string, mk func() *workloads.Benchmark,
+// runCell sends one facade simulation through the trace-cache gateway (see
+// workloads.CaptureGateway) under its sweep-compatible cell key: live
+// without a trace directory, and with one, replay of a valid capture or a
+// live run that records one. Recoveries from storage faults count on
+// o.Metrics under trace.*, matching the sweep runner's instrumentation.
+func (o *RunOptions) runCell(ctx context.Context, name, key string, b *workloads.Benchmark,
 	llcb workloads.LLCBuilder, ropt workloads.RunOptions) (*workloads.RunResult, error) {
-	if opt.TraceDir == "" {
-		return workloads.RunFunctionalContext(ctx, mk(), llcb, ropt)
-	}
-	fsys := trace.OS
-	ident := workloads.CaptureIdent(key, opt.Scale, opt.Cores, "")
-	path := workloads.CapturePath(opt.TraceDir, ident)
-	persist := true
-	if !opt.TraceCapture {
-		c, outcome, err := workloads.LoadCaptureRecover(fsys, opt.TraceDir, path, ident, opt.Cores, false)
-		if opt.TraceReplay && outcome != workloads.LoadOK {
-			if err == nil {
-				err = os.ErrNotExist
-			}
-			return nil, fmt.Errorf("doppelganger: trace replay: no usable capture for %s: %w", key, err)
-		}
-		switch outcome {
-		case workloads.LoadOK:
-			opt.Metrics.Counter("trace.replays").Add(1)
-			return workloads.ReplayFunctionalContext(ctx, mk(), c, llcb, ropt)
-		case workloads.LoadQuarantined:
-			opt.Metrics.Counter("trace.quarantines").Add(1)
-		case workloads.LoadUnavailable:
-			persist = false
-			opt.Metrics.Counter("trace.degraded").Add(1)
-		}
-	}
-	ropt.Record = true
-	run, err := workloads.RunFunctionalContext(ctx, mk(), llcb, ropt)
-	if err != nil {
-		return nil, err
-	}
-	c, err := workloads.CaptureOf(run, trace.FileHeader{
-		Benchmark: name, Scale: opt.Scale, Cores: opt.Cores, ConfigKey: ident,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if persist {
-		if err := persistRouted(fsys, opt.TraceDir, path, c); err != nil {
-			// Graceful degradation: the live run is complete and correct;
-			// losing the capture only costs the next run a re-record.
-			opt.Metrics.Counter("trace.degraded").Add(1)
-		} else {
-			opt.Metrics.Counter("trace.records").Add(1)
-		}
-	}
-	return run, nil
-}
-
-// persistRouted commits one facade-recorded capture: ensure the directory,
-// then the atomic durable write.
-func persistRouted(fsys trace.FS, dir, path string, c *trace.Capture) error {
-	if err := fsys.MkdirAll(dir); err != nil {
-		return fmt.Errorf("doppelganger: trace dir: %w", err)
-	}
-	return c.WriteFileFS(fsys, path)
+	g := workloads.CaptureGateway{Dir: o.TraceDir, Capture: o.TraceCapture, Replay: o.TraceReplay, Metrics: o.Metrics}
+	return g.Run(ctx, workloads.CaptureCell{Key: key, Header: trace.FileHeader{
+		Benchmark: name, Scale: o.Scale, Cores: o.Cores, ConfigKey: workloads.CaptureIdent(key, o.Scale, o.Cores, ""),
+	}}, b, llcb, ropt)
 }
 
 // RunBenchmark executes the named workload functionally against the chosen
@@ -419,12 +360,11 @@ func RunBenchmarkContext(ctx context.Context, name string, kind LLCKind, opt Run
 	var run, precise *workloads.RunResult
 	var preciseErr error
 	var wg sync.WaitGroup
-	mk := func() *workloads.Benchmark { return f.New(opt.Scale) }
 	if kind != Baseline {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			precise, preciseErr = runRouted(ctx, &opt, name, "base/"+name, mk,
+			precise, preciseErr = opt.runCell(ctx, name, "base/"+name, f.New(opt.Scale),
 				workloads.BaselineBuilder(2<<20, 16), workloads.RunOptions{Cores: opt.Cores})
 		}()
 	}
@@ -432,9 +372,9 @@ func RunBenchmarkContext(ctx context.Context, name string, kind LLCKind, opt Run
 	if opt.Faults != nil || opt.Quality != nil {
 		// The injector/guard identity is not part of the capture key at this
 		// layer, so a faulted or guarded measurement always runs live.
-		run, err = workloads.RunFunctionalContext(ctx, mk(), builder, mopt)
+		run, err = workloads.RunFunctionalContext(ctx, f.New(opt.Scale), builder, mopt)
 	} else {
-		run, err = runRouted(ctx, &opt, name, cellKey(name, kind, &opt), mk, builder, mopt)
+		run, err = opt.runCell(ctx, name, cellKey(name, kind, &opt), f.New(opt.Scale), builder, mopt)
 	}
 	wg.Wait()
 	if err != nil {
@@ -485,42 +425,32 @@ func RunMultiprogram(names []string, kind LLCKind, opt RunOptions) (*BenchmarkRe
 	case UniDoppelganger:
 		builder = workloads.UnifiedBuilder(opt.MapBits, opt.DataFrac)
 	}
-	// A multiprogram Benchmark carries mutable captured state, so every
-	// routed run gets its own instance from build().
-	mk := func() *workloads.Benchmark {
-		b, err := build()
-		if err != nil {
-			// build() succeeded above with identical inputs.
-			panic(err)
-		}
-		return b
-	}
 	mpName := strings.Join(names, "+")
 	ctx := context.Background()
 	var precise, run *workloads.RunResult
 	var preciseErr, runErr error
 	var wg sync.WaitGroup
 	if kind != Baseline {
+		// A multiprogram Benchmark carries mutable captured state, so the
+		// reference run gets its own instance.
+		ref, err := build()
+		if err != nil {
+			return nil, err
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			precise, preciseErr = runRouted(ctx, &opt, mpName, "mp/base/"+mpName, mk,
+			precise, preciseErr = opt.runCell(ctx, mpName, "mp/base/"+mpName, ref,
 				workloads.BaselineBuilder(2<<20, 16), workloads.RunOptions{Cores: opt.Cores})
 		}()
 	}
-	// Error scoring must use an instance whose own Output pass ran (a
-	// multiprogram Benchmark learns its per-program output lengths there),
-	// so track which instance the measured run actually used.
-	measured := mp
+	// Error scoring must use the measured run's instance: a multiprogram
+	// Benchmark learns its per-program output lengths in its Output pass.
 	mopt := workloads.RunOptions{Cores: opt.Cores, Metrics: opt.Metrics, Faults: opt.Faults, Quality: opt.Quality}
 	if opt.Faults != nil || opt.Quality != nil {
 		run, runErr = workloads.RunFunctionalContext(ctx, mp, builder, mopt)
 	} else {
-		mkMeasured := func() *workloads.Benchmark {
-			measured = mk()
-			return measured
-		}
-		run, runErr = runRouted(ctx, &opt, mpName, "mp/"+cellKey(mpName, kind, &opt), mkMeasured, builder, mopt)
+		run, runErr = opt.runCell(ctx, mpName, "mp/"+cellKey(mpName, kind, &opt), mp, builder, mopt)
 	}
 	wg.Wait()
 	if runErr != nil {
@@ -537,7 +467,7 @@ func RunMultiprogram(names []string, kind LLCKind, opt RunOptions) (*BenchmarkRe
 		AvgTagsPerData: run.AvgTagsPerData,
 	}
 	if precise != nil {
-		res.Error = measured.Error(precise.Output, run.Output)
+		res.Error = mp.Error(precise.Output, run.Output)
 	}
 	return res, nil
 }
@@ -569,8 +499,7 @@ func RunTiming(name string, kind LLCKind, opt RunOptions) (*TimingComparison, er
 	if err != nil {
 		return nil, err
 	}
-	run, err := runRouted(context.Background(), &opt, name, "base/"+name,
-		func() *workloads.Benchmark { return f.New(opt.Scale) },
+	run, err := opt.runCell(context.Background(), name, "base/"+name, f.New(opt.Scale),
 		workloads.BaselineBuilder(2<<20, 16), workloads.RunOptions{Cores: opt.Cores, Record: true})
 	if err != nil {
 		return nil, err

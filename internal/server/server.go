@@ -103,14 +103,11 @@ type Config struct {
 	// Trace-cache flags (the warm-trace deployment records once, then every
 	// sweep replays). TraceVerify selects how hard the startup janitor
 	// checks each capture before the server reports ready (default
-	// trace.VerifyOff; the sweepd flag defaults to "open"). TraceFS, when
-	// non-nil, replaces the filesystem under the trace cache — the chaos
-	// tests' fault seam.
+	// trace.VerifyOff; the sweepd flag defaults to "open").
 	TraceDir     string
 	TraceCapture bool
 	TraceReplay  bool
 	TraceVerify  trace.VerifyMode
-	TraceFS      trace.FS
 
 	// DecodedCacheMB, when positive (and TraceDir is set), bounds a single
 	// decoded-capture LRU shared by every shard runner: a capture any shard
@@ -217,10 +214,8 @@ type Server struct {
 	degradedGauge *metrics.Gauge
 
 	// decoded is the decoded-capture LRU every shard runner shares (nil
-	// unless DecodedCacheMB is set); traceFS is the filesystem captures are
-	// probed through (digest routing reads 16-byte preambles on it).
+	// unless DecodedCacheMB is set).
 	decoded *trace.DecodedCache
-	traceFS trace.FS
 
 	chaos ChaosHooks
 }
@@ -294,17 +289,12 @@ func New(cfg Config) (*Server, error) {
 	// Open (lock + scrub) the trace store before any shard worker starts
 	// and before New returns — /readyz cannot say ready until the directory
 	// has been swept of orphaned temp files and condemned captures.
-	fsys := cfg.TraceFS
-	if fsys == nil {
-		fsys = trace.OS
-	}
-	s.traceFS = fsys
 	if cfg.TraceDir != "" && cfg.DecodedCacheMB > 0 {
 		s.decoded = trace.NewDecodedCache(int64(cfg.DecodedCacheMB) << 20)
 		s.decoded.AttachMetrics(reg)
 	}
 	if cfg.TraceDir != "" {
-		st, err := trace.OpenStore(fsys, cfg.TraceDir, cfg.TraceVerify)
+		st, err := trace.OpenStore(trace.OS, cfg.TraceDir, cfg.TraceVerify)
 		if err != nil {
 			cancel()
 			return nil, err
@@ -342,7 +332,6 @@ func New(cfg Config) (*Server, error) {
 		r.TraceDir = cfg.TraceDir
 		r.TraceCapture = cfg.TraceCapture
 		r.TraceReplay = cfg.TraceReplay
-		r.TraceFS = cfg.TraceFS
 		r.DecodedCache = s.decoded
 		r.Checkpoint = cfg.Checkpoint
 		if cfg.Checkpoint != nil {
@@ -540,7 +529,7 @@ func (s *Server) routeKey(c Cell) string {
 	if !ok {
 		return c.RouteKey()
 	}
-	d, err := trace.FileDigestFS(s.traceFS, workloads.CapturePath(s.cfg.TraceDir, ident))
+	d, err := trace.FileDigest(workloads.CapturePath(s.cfg.TraceDir, ident))
 	if err != nil {
 		return c.RouteKey()
 	}

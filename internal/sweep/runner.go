@@ -330,7 +330,7 @@ func (r *Runner) baselineScore(ctx context.Context, name string) (*baseScore, er
 		// this Runner; share them instead of decoding the capture again.
 		if !r.base.Has(name) {
 			ident := workloads.CaptureIdent("base/"+name, r.Scale, r.Cores, "")
-			if c := r.loadDecoded(ident); c != nil {
+			if c := r.traceGateway().LoadDecoded(ident, r.Cores); c != nil {
 				return &baseScore{bench: f.New(r.Scale), out: c.Output}, nil
 			}
 		}

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"doppelganger/internal/metrics"
@@ -24,7 +26,11 @@ func TestDecodedDigestFields(t *testing.T) {
 	if full.FileCRC != c.FileCRC {
 		t.Fatalf("decode file digest %016x differs from encode %016x", full.FileCRC, c.FileCRC)
 	}
-	lite, err := ReadCaptureOutput(bytes.NewReader(raw))
+	path := filepath.Join(t.TempDir(), "c.dgt")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	lite, err := ReadCaptureOutputFileFS(OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +78,11 @@ func TestDecodedCacheHitMissLRU(t *testing.T) {
 
 	// An output-only decode carries no streams or memory image, so the
 	// cache refuses it: a hierarchy replay must never be handed one.
-	lite, err := ReadCaptureOutput(bytes.NewReader(encodeCapture(t, c)))
+	path := filepath.Join(t.TempDir(), "c.dgt")
+	if err := c.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	lite, err := ReadCaptureOutputFileFS(OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -159,6 +159,9 @@ func (c *Capture) encode() ([]byte, error) {
 	if len(c.Recorder.Cores) > maxCores {
 		return nil, fmt.Errorf("trace: capture has %d cores (max %d)", len(c.Recorder.Cores), maxCores)
 	}
+	if len(c.Recorder.Cores) != c.Header.Cores {
+		return nil, fmt.Errorf("trace: capture header names %d cores, recorder has %d", c.Header.Cores, len(c.Recorder.Cores))
+	}
 	var out bytes.Buffer
 	var w sectionWriter
 
@@ -451,16 +454,6 @@ func ReadCapture(r io.Reader) (*Capture, error) {
 	return readCapture(r, sizeHint(r), false)
 }
 
-// ReadCaptureOutput decodes only a capture's header, annotations and output
-// vector. The memory, trace and order sections are still fully read and
-// verified (section CRCs and the whole-file digest), but nothing
-// proportional to their contents is materialized — the cheap path for
-// consumers that serve a capture's result without replaying it. The
-// cross-section order/stream consistency check is necessarily skipped.
-func ReadCaptureOutput(r io.Reader) (*Capture, error) {
-	return readCapture(r, sizeHint(r), true)
-}
-
 // readCapture checks the preamble, then reads the rest of the capture
 // (size bytes in all, if the hint is right) into one buffer and decodes it.
 func readCapture(r io.Reader, size int64, outputOnly bool) (*Capture, error) {
@@ -545,7 +538,13 @@ func decodeCapture(digest uint64, buf []byte, outputOnly bool) (*Capture, error)
 		case secMemory:
 			c.InitialMem, err = decodeMemory(p)
 		case secTraces:
-			c.Recorder, err = decodeTraces(p)
+			// Consumers match the header's core count against their own
+			// and then simulate that many cores, so a header that
+			// disagrees with the streams would replay part of the run, or
+			// cores that never ran.
+			if c.Recorder, err = decodeTraces(p); err == nil && len(c.Recorder.Cores) != c.Header.Cores {
+				err = fmt.Errorf("traces section has %d cores, header names %d", len(c.Recorder.Cores), c.Header.Cores)
+			}
 		case secOrder:
 			err = decodeOrder(p, c.Recorder)
 		case secOutput:
@@ -566,19 +565,17 @@ func ReadCaptureFile(path string) (*Capture, error) {
 	return readCaptureFile(OS, path, false)
 }
 
-// ReadCaptureOutputFile is ReadCaptureFile via ReadCaptureOutput: fully
-// verified, but only header, annotations and output are materialized.
-func ReadCaptureOutputFile(path string) (*Capture, error) {
-	return readCaptureFile(OS, path, true)
-}
-
 // ReadCaptureFileFS is ReadCaptureFile on an injected filesystem.
 func ReadCaptureFileFS(fsys FS, path string) (*Capture, error) {
 	return readCaptureFile(fsys, path, false)
 }
 
-// ReadCaptureOutputFileFS is ReadCaptureOutputFile on an injected
-// filesystem.
+// ReadCaptureOutputFileFS decodes only a capture file's header,
+// annotations and output vector. The memory, trace and order sections are
+// still fully read and verified (section CRCs and the whole-file digest),
+// but nothing proportional to their contents is materialized — the cheap
+// path for consumers that serve a capture's result without replaying it.
+// The cross-section checks against the streams are necessarily skipped.
 func ReadCaptureOutputFileFS(fsys FS, path string) (*Capture, error) {
 	return readCaptureFile(fsys, path, true)
 }

@@ -3,7 +3,9 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc64"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -136,7 +138,14 @@ func TestCaptureRoundTrip(t *testing.T) {
 func TestCaptureOutputOnly(t *testing.T) {
 	c := testCapture(t)
 	data := encodeCapture(t, c)
-	got, err := ReadCaptureOutput(bytes.NewReader(data))
+	path := filepath.Join(t.TempDir(), "lite.dgt")
+	readLite := func(data []byte) (*Capture, error) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return ReadCaptureOutputFileFS(OS, path)
+	}
+	got, err := readLite(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,21 +172,9 @@ func TestCaptureOutputOnly(t *testing.T) {
 	for i := range data {
 		bad := append([]byte(nil), data...)
 		bad[i] ^= 0x80
-		if _, err := ReadCaptureOutput(bytes.NewReader(bad)); err == nil {
+		if _, err := readLite(bad); err == nil {
 			t.Fatalf("lite decode accepted a corrupt byte at offset %d", i)
 		}
-	}
-	// And the file-path variant agrees.
-	path := filepath.Join(t.TempDir(), "lite.dgt")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fromFile, err := ReadCaptureOutputFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fromFile.Header != c.Header || len(fromFile.Output) != len(c.Output) {
-		t.Fatalf("file variant disagrees with reader variant")
 	}
 }
 
@@ -456,6 +453,13 @@ func TestCaptureSemanticRejections(t *testing.T) {
 		{"header name length lie", mutate(secHeader, func(w *sectionWriter) {
 			w.uvarint(1 << 40)
 		}), "benchmark name length"},
+		{"header core count differs from traces", mutate(secHeader, func(w *sectionWriter) {
+			w.str("blackscholes")
+			w.u64(math.Float64bits(0.25))
+			w.uvarint(4) // the traces section holds 2 cores
+			w.u64(7)
+			w.str("k")
+		}), "traces section has 2 cores, header names 4"},
 		{"header trailing garbage", mutate(secHeader, func(w *sectionWriter) {
 			w.str("b")
 			w.u64(0)
@@ -532,6 +536,7 @@ func TestCaptureSemanticRejections(t *testing.T) {
 			w.uvarint(1 << 40)
 		}), "exceeds payload"},
 	}
+	path := filepath.Join(t.TempDir(), "hostile.dgt")
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := ReadCapture(bytes.NewReader(tc.data))
@@ -541,11 +546,26 @@ func TestCaptureSemanticRejections(t *testing.T) {
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
+			// Read from a file, the same bytes are corrupt: the trace
+			// cache quarantines them and records the cell again.
+			if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ReadCaptureFileFS(OS, path); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("file read error %v is not ErrCorrupt", err)
+			}
 		})
 	}
 	// Sanity: the unmutated rebuild is accepted, so the rejections above
 	// come from the mutations and not from the test's framing.
 	if _, err := ReadCapture(bytes.NewReader(rebuild(good))); err != nil {
 		t.Fatalf("rebuild of unmutated sections rejected: %v", err)
+	}
+	// The encoder refuses to write a header whose core count the streams
+	// contradict.
+	c := testCapture(t)
+	c.Header.Cores = 4
+	if _, err := c.WriteTo(io.Discard); err == nil || !strings.Contains(err.Error(), "header names 4 cores, recorder has 2") {
+		t.Fatalf("encoding a 4-core header over 2 streams: err %v, want a refusal", err)
 	}
 }

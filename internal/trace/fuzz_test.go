@@ -2,63 +2,69 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"slices"
 	"testing"
 
 	"doppelganger/internal/approx"
 	"doppelganger/internal/memdata"
 )
 
-// FuzzTraceRoundTrip drives ReadFrom with arbitrary bytes. Decoding must
-// never panic or over-allocate, and any input it accepts must survive a
-// re-encode/re-decode cycle unchanged (decode ∘ encode ≡ id on the image
-// of decode).
+// FuzzTraceRoundTrip builds a two-core recording from arbitrary bytes and
+// demands that its streams and global order come back unchanged through a
+// capture's encode and full decode. FuzzTraceFileDecode starts from bytes,
+// which rarely get past the checksums; this target reaches every field the
+// trace and order sections code. Each 18 input bytes are one access: addr
+// u32, val u64, gap u32, size u8 and flags u8 (bit0 write, bit1 approx,
+// bit2 core).
 func FuzzTraceRoundTrip(f *testing.F) {
-	// Seed with a couple of real encodings plus the rejection corpus.
-	seed := func(build func(r *Recorder)) {
-		r := NewRecorder(2)
-		build(r)
-		var buf bytes.Buffer
-		if _, err := r.WriteTo(&buf); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
+	access := func(addr uint32, val uint64, gap uint32, size, flags uint8) []byte {
+		b := binary.LittleEndian.AppendUint32(nil, addr)
+		b = binary.LittleEndian.AppendUint64(b, val)
+		b = binary.LittleEndian.AppendUint32(b, gap)
+		return append(b, size, flags)
 	}
-	seed(func(r *Recorder) {})
-	seed(func(r *Recorder) {
-		r.Work(0, 3)
-		r.Access(0, 0x1240, false, 4, 7, true)
-		r.Access(1, 0xFFFFFFC0, true, 8, 0xDEADBEEFCAFEBABE, false)
-	})
-	f.Add([]byte("DPTR"))
-	f.Add([]byte("DPTR\x01\x00\x00\x00\xff\xff\xff\xff"))
-	f.Add([]byte("DPTR\x01\x00\x00\x00\x01\x00\x00\x00\xff\xff\xff\xff\xff\xff\xff\xff"))
+	f.Add([]byte{})
+	f.Add(access(0x1240, 0, 3, 4, 2))
+	f.Add(append(access(0xFFFFFFC0, 0xDEADBEEFCAFEBABE, 0, 8, 5), access(0, 1, 0xFFFFFFFF, 255, 1)...))
+	f.Add(append(access(0x40, 7, 1, 1, 4), access(0x40, 7, 1, 1, 4)...))
+	f.Add(append(access(0xFFFFFFFF, 0, 0, 0, 0), 1, 2, 3)) // trailing partial access ignored
 
+	ann, err := approx.NewAnnotations()
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := ReadFrom(bytes.NewReader(data))
-		if err != nil {
-			return // rejected input: fine, as long as it didn't panic
+		rec := NewRecorder(2)
+		for ; len(data) >= 18; data = data[18:] {
+			write, core := data[17]&1 != 0, int(data[17]>>2&1)
+			val := binary.LittleEndian.Uint64(data[4:])
+			if !write {
+				val = 0 // a capture keeps the values of writes only
+			}
+			rec.Work(core, int(binary.LittleEndian.Uint32(data[12:])))
+			rec.Access(core, memdata.Addr(binary.LittleEndian.Uint32(data)), write, int(data[16]), val, data[17]&2 != 0)
+		}
+		c := &Capture{
+			Header:      FileHeader{Benchmark: "b", Cores: 2, ConfigKey: "k"},
+			Annotations: ann,
+			InitialMem:  memdata.NewStore(),
+			Recorder:    rec,
 		}
 		var buf bytes.Buffer
-		if _, err := r.WriteTo(&buf); err != nil {
-			t.Fatalf("re-encode of accepted trace failed: %v", err)
+		if _, err := c.WriteTo(&buf); err != nil {
+			t.Fatalf("encode: %v", err)
 		}
-		r2, err := ReadFrom(&buf)
+		got, err := ReadCapture(&buf)
 		if err != nil {
-			t.Fatalf("re-decode of re-encoded trace failed: %v", err)
+			t.Fatalf("decode of a freshly encoded capture: %v", err)
 		}
-		if len(r2.Cores) != len(r.Cores) {
-			t.Fatalf("core count changed: %d -> %d", len(r.Cores), len(r2.Cores))
+		if !slices.Equal(got.Recorder.Order, rec.Order) {
+			t.Fatal("global order changed")
 		}
-		for c := range r.Cores {
-			if len(r2.Cores[c]) != len(r.Cores[c]) {
-				t.Fatalf("core %d record count changed: %d -> %d",
-					c, len(r.Cores[c]), len(r2.Cores[c]))
-			}
-			for i := range r.Cores[c] {
-				if r2.Cores[c][i] != r.Cores[c][i] {
-					t.Fatalf("core %d record %d changed: %+v -> %+v",
-						c, i, r.Cores[c][i], r2.Cores[c][i])
-				}
+		for core, want := range rec.Cores {
+			if !slices.Equal(got.Recorder.Cores[core], want) {
+				t.Fatalf("core %d stream changed: %+v -> %+v", core, want, got.Recorder.Cores[core])
 			}
 		}
 	})
@@ -100,7 +106,7 @@ func FuzzTraceFileDecode(f *testing.F) {
 		c.Recorder.Access(1, 0xFFFFFFC0, true, 1, 9, false)
 		c.Output = []float64{1, -0.5}
 	})
-	f.Add([]byte("DPTR\x01\x00\x00\x00"))
+	f.Add([]byte("XXXX\x01\x00\x00\x00"))
 	f.Add([]byte("DGTC"))
 	f.Add([]byte("DGTC\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x01\xff"))
 

@@ -4,11 +4,10 @@
 // measured functionally, performance by simulating the same access stream
 // against each LLC organization.
 //
-// Traces persist in two on-disk forms: the legacy per-core record stream
-// (serialize.go, "DPTR", kept for trace bundles) and the capture file
-// (file.go, "DGTC"): a versioned, CRC-guarded container holding everything
-// a replay needs — header, annotations, initial memory image, per-core
-// streams, the global interleaving order, and the run's output.
+// Traces persist in one on-disk form, the capture file (file.go, "DGTC"):
+// a versioned, CRC-guarded container holding everything a replay needs —
+// header, annotations, initial memory image, per-core streams, the global
+// interleaving order, and the run's output.
 package trace
 
 import (
@@ -112,8 +111,8 @@ type Cursor struct {
 }
 
 // Cursor returns a global-order iterator over the recorded accesses. It
-// fails if the recorder carries no order index (e.g. a legacy "DPTR"
-// stream) or if the index is inconsistent with the per-core streams.
+// fails if the recorder carries no order index (e.g. one assembled by hand
+// from per-core streams) or if the index is inconsistent with them.
 func (r *Recorder) Cursor() (*Cursor, error) {
 	if len(r.Order) != r.Len() {
 		return nil, fmt.Errorf("trace: order index has %d entries for %d records (recorded before global-order capture, or corrupt)",
