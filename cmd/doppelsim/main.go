@@ -377,7 +377,7 @@ func replayTrace(path, llc string, mapBits int, dataFrac float64, cores int,
 		cfg.Trace, cfg.TracePID, cfg.TraceLabel = tw, 1, path+" ("+llc+")"
 	}
 	res := timesim.Run(c.Recorder, c.InitialMem, c.Annotations, builder, cfg)
-	if err := res.CrossCheck(); err != nil {
+	if err := res.CrossCheck(reg); err != nil {
 		return err
 	}
 	fmt.Printf("replayed %s against %s (M=%d, data %g)\n", path, llc, mapBits, dataFrac)

@@ -601,6 +601,7 @@ func (e *Evaluation) CollectMetrics() {
 	if e.r.Metrics == nil {
 		e.r.Metrics = metrics.NewRegistry()
 	}
+	e.r.TaskMetrics = true
 }
 
 // WriteMetrics writes one JSON object per line: every per-task counter

@@ -11,10 +11,8 @@ func testCache() *Cache {
 	return New(Config{Name: "L1", SizeBytes: 32 << 10, Ways: 4})
 }
 
-// TestDisabledMetricsZeroAllocs locks down the nil-sink fast path: with no
-// registry attached, the Lookup/Install hot path must not allocate at all.
-// This is the guarantee that lets every array carry instruments
-// unconditionally.
+// TestDisabledMetricsZeroAllocs locks down the access path: Lookup and
+// Install count in the array's plain Stats and must not allocate at all.
 func TestDisabledMetricsZeroAllocs(t *testing.T) {
 	c := testCache()
 	// Pre-fault every set so steady-state Install never grows anything.
@@ -37,17 +35,27 @@ func TestDisabledMetricsZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestEnabledMetricsCountsMatchStats checks the instruments mirror the
-// legacy Stats struct exactly.
+// TestEnabledMetricsCountsMatchStats checks PublishMetrics maps each
+// published name to the right Stats field. The access pattern gives the four
+// fields four different values, so a swapped pair of names cannot pass.
 func TestEnabledMetricsCountsMatchStats(t *testing.T) {
 	c := testCache()
-	reg := metrics.NewRegistry()
-	c.AttachMetrics(reg)
 	for a := memdata.Addr(0); a < 128<<10; a += memdata.BlockSize {
 		c.Install(c.Victim(a), a, nil)
 		c.Lookup(a)
-		c.Lookup(a + 1<<24)
+		if a%(2*memdata.BlockSize) == 0 {
+			c.Lookup(a + 1<<24)
+		}
+		if a%(4*memdata.BlockSize) == 0 {
+			c.Probe(a).Dirty = true
+		}
 	}
+	st := c.Stats
+	if st.Hits == st.Misses || st.Hits == st.Evictions || st.Misses == st.Evictions || st.Dirty == 0 {
+		t.Fatalf("stats %+v do not tell the fields apart", st)
+	}
+	reg := metrics.NewRegistry()
+	c.PublishMetrics(reg)
 	checks := []struct {
 		name string
 		want uint64
@@ -64,23 +72,10 @@ func TestEnabledMetricsCountsMatchStats(t *testing.T) {
 	}
 }
 
-// BenchmarkLookupDisabled / BenchmarkLookupEnabled make the overhead of the
-// metrics layer visible: disabled must be allocation-free, enabled costs
-// one atomic add per event.
+// BenchmarkLookupDisabled measures a hit Lookup, which must be
+// allocation-free.
 func BenchmarkLookupDisabled(b *testing.B) {
 	c := testCache()
-	addr := memdata.Addr(0x1240)
-	c.Install(c.Victim(addr), addr, nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Lookup(addr)
-	}
-}
-
-func BenchmarkLookupEnabled(b *testing.B) {
-	c := testCache()
-	c.AttachMetrics(metrics.NewRegistry())
 	addr := memdata.Addr(0x1240)
 	c.Install(c.Victim(addr), addr, nil)
 	b.ReportAllocs()

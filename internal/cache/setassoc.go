@@ -5,7 +5,7 @@
 //
 // The arrays are functional: they track tags, data payloads, dirty bits and
 // per-line coherence metadata, but carry no timing. The timing simulator
-// attaches latencies and event counters on top.
+// attaches latencies on top.
 package cache
 
 import (
@@ -68,14 +68,6 @@ type Stats struct {
 	Dirty     uint64 // dirty evictions (writebacks)
 }
 
-// cacheMetrics are the array's registry instruments, resolved once by
-// AttachMetrics. The zero value (all nil) is the disabled fast path: each
-// event costs one nil check and zero allocations (locked down by
-// TestDisabledMetricsZeroAllocs).
-type cacheMetrics struct {
-	hits, misses, evictions, dirty *metrics.Counter
-}
-
 // Cache is a set-associative array with LRU replacement.
 type Cache struct {
 	cfg      Config
@@ -84,9 +76,8 @@ type Cache struct {
 	setMask  uint32
 	tick     uint64
 	Stats    Stats
-	m        cacheMetrics
 
-	// Fault injection (nil = disabled fast path, like the metrics sinks).
+	// Fault injection (nil = disabled fast path).
 	inj             *faults.Injector
 	injTag, injData faults.Target
 }
@@ -114,21 +105,18 @@ func New(cfg Config) *Cache {
 // Config returns the array geometry.
 func (c *Cache) Config() Config { return c.cfg }
 
-// AttachMetrics resolves the array's counters in reg under
-// "cache.<name>.*". Per-core arrays share a config name, so their counters
-// aggregate — matching the hierarchy-level legacy totals the differential
-// tests compare against. A nil registry leaves the disabled fast path.
-func (c *Cache) AttachMetrics(reg *metrics.Registry) {
+// PublishMetrics adds the array's Stats to reg under "cache.<name>.*".
+// Per-core arrays share a config name, so their counts aggregate. A nil
+// registry is a no-op.
+func (c *Cache) PublishMetrics(reg *metrics.Registry) {
 	if reg == nil {
 		return
 	}
 	prefix := "cache." + strings.ToLower(c.cfg.Name) + "."
-	c.m = cacheMetrics{
-		hits:      reg.Counter(prefix + "hits"),
-		misses:    reg.Counter(prefix + "misses"),
-		evictions: reg.Counter(prefix + "evictions"),
-		dirty:     reg.Counter(prefix + "dirty_evictions"),
-	}
+	reg.Counter(prefix + "hits").Add(c.Stats.Hits)
+	reg.Counter(prefix + "misses").Add(c.Stats.Misses)
+	reg.Counter(prefix + "evictions").Add(c.Stats.Evictions)
+	reg.Counter(prefix + "dirty_evictions").Add(c.Stats.Dirty)
 }
 
 // AttachFaults wires a fault injector into the array's hit path, charging
@@ -158,14 +146,12 @@ func (c *Cache) Lookup(addr memdata.Addr) *Line {
 	if l := c.Probe(addr); l != nil {
 		c.touch(l)
 		c.Stats.Hits++
-		c.m.hits.Inc()
 		if c.inj != nil {
 			c.injectHit(l)
 		}
 		return l
 	}
 	c.Stats.Misses++
-	c.m.misses.Inc()
 	return nil
 }
 
@@ -225,10 +211,8 @@ func (c *Cache) Victim(addr memdata.Addr) *Line {
 func (c *Cache) Install(l *Line, addr memdata.Addr, data *memdata.Block) {
 	if l.Valid {
 		c.Stats.Evictions++
-		c.m.evictions.Inc()
 		if l.Dirty {
 			c.Stats.Dirty++
-			c.m.dirty.Inc()
 		}
 	}
 	*l = Line{

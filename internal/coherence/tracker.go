@@ -7,40 +7,35 @@ import (
 )
 
 // Tracker counts MSI directory transitions and back-invalidations. The
-// functional hierarchy drives one Tracker per run; the counts are always
-// maintained (plain array increments, no allocation) and additionally
-// mirrored into a metrics registry once attached, so the observability layer
-// and the in-memory view can be differentially cross-checked.
+// functional hierarchy drives one Tracker per run; the counts are plain
+// array increments (no allocation), published into a metrics registry once
+// per run by PublishMetrics.
 //
 // A nil *Tracker is safe: every method no-ops.
 type Tracker struct {
-	counts [3][3]uint64
-	m      [3][3]*metrics.Counter
-
+	counts     [3][3]uint64
 	backInvals uint64
-	backC      *metrics.Counter
 }
 
-// NewTracker returns an enabled tracker with no registry attached.
+// NewTracker returns an empty tracker.
 func NewTracker() *Tracker { return &Tracker{} }
 
-// Attach resolves per-transition counters in reg under
-// "coherence.msi.<from>_to_<to>" plus "coherence.back_invalidations".
-// Self-transitions are not counted, so only the six state-changing cells get
-// counters. A nil registry is a no-op.
-func (t *Tracker) Attach(reg *metrics.Registry) {
+// PublishMetrics adds the counts to reg under "coherence.msi.<from>_to_<to>"
+// plus "coherence.back_invalidations". Self-transitions are not counted, so
+// only the six state-changing cells are published. A nil registry is a
+// no-op.
+func (t *Tracker) PublishMetrics(reg *metrics.Registry) {
 	if t == nil || reg == nil {
 		return
 	}
 	for from := Invalid; from <= Modified; from++ {
 		for to := Invalid; to <= Modified; to++ {
-			if from == to {
-				continue
+			if from != to {
+				reg.Counter(fmt.Sprintf("coherence.msi.%s_to_%s", from, to)).Add(t.counts[from][to])
 			}
-			t.m[from][to] = reg.Counter(fmt.Sprintf("coherence.msi.%s_to_%s", from, to))
 		}
 	}
-	t.backC = reg.Counter("coherence.back_invalidations")
+	reg.Counter("coherence.back_invalidations").Add(t.backInvals)
 }
 
 // Transition records a directory state change; same-state "transitions" are
@@ -50,7 +45,6 @@ func (t *Tracker) Transition(from, to State) {
 		return
 	}
 	t.counts[from][to]++
-	t.m[from][to].Inc()
 }
 
 // BackInvalidation records one LLC-eviction-driven back-invalidation of the
@@ -60,7 +54,6 @@ func (t *Tracker) BackInvalidation() {
 		return
 	}
 	t.backInvals++
-	t.backC.Inc()
 }
 
 // Count returns the number of recorded from→to transitions.

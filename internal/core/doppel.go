@@ -174,7 +174,8 @@ type Doppelganger struct {
 	ann        *approx.Annotations
 	tick       uint64
 	Stats      Stats
-	m          coreMetrics
+	tagsOcc    level // valid tag entries, for the occupancy gauges
+	dataOcc    level // valid data entries
 	inj        *faults.Injector
 	qc         *quality.Controller
 	eff        Effects // scratch, returned by operations (valid until the next op)
@@ -360,7 +361,7 @@ func (d *Doppelganger) unlink(t int32) (freedData bool) {
 		e.valid = false
 		e.head = nilTag
 		e.count = 0
-		d.m.dataOccupied.Add(-1)
+		d.dataOcc.dec()
 		return true
 	}
 	if te.prev != nilTag {
@@ -385,13 +386,11 @@ func (d *Doppelganger) unlink(t int32) (freedData bool) {
 // linking happen off the critical path).
 func (d *Doppelganger) Read(addr memdata.Addr) (memdata.Block, *Effects) {
 	d.Stats.Reads++
-	d.m.reads.Inc()
 	eff := &d.eff
 	eff.reset()
 	eff.DTagReads = 1
 	if t := d.probeTag(addr); t != nilTag {
 		d.Stats.ReadHits++
-		d.m.readHits.Inc()
 		eff.Hit = true
 		de := d.dataOf(t)
 		eff.MTagReads, eff.DDataReads = 1, 1
@@ -425,7 +424,6 @@ func (d *Doppelganger) Read(addr memdata.Addr) (memdata.Block, *Effects) {
 // (approximately) its payload, per §3.3.
 func (d *Doppelganger) insert(addr memdata.Addr, payload *memdata.Block, dirty bool, eff *Effects) {
 	d.Stats.Inserts++
-	d.m.inserts.Inc()
 	region := d.ann.Lookup(addr)
 	if region == nil && !d.cfg.Unified {
 		panic(fmt.Sprintf("core: precise address %v routed to non-unified Doppelgänger", addr))
@@ -447,7 +445,6 @@ func (d *Doppelganger) insert(addr memdata.Addr, payload *memdata.Block, dirty b
 		// generation (and therefore all approximate sharing) entirely.
 		precise = true
 		d.Stats.QualityBypasses++
-		d.m.qualityBypasses.Inc()
 	}
 	if precise {
 		key = uint32(addr.BlockAddr()) >> memdata.OffsetBits
@@ -457,7 +454,6 @@ func (d *Doppelganger) insert(addr memdata.Addr, payload *memdata.Block, dirty b
 			key = d.inj.CorruptBits(faults.MapGen, key, d.cfg.MapSpec.M)
 		}
 		d.Stats.MapGens++
-		d.m.mapGens.Inc()
 		eff.MapGens++
 	}
 
@@ -467,8 +463,6 @@ func (d *Doppelganger) insert(addr memdata.Addr, payload *memdata.Block, dirty b
 		// A similar block already resides in the data array: reuse it and
 		// discard the incoming payload (§3.3 "Similar Data Block Exists").
 		d.Stats.ReuseLinks++
-		d.m.reuseLinks.Inc()
-		d.m.approxSubs.Inc()
 		eff.MTagWrites++ // head-pointer update
 		if d.qc.Sample() {
 			// Substitution canary: the resident representative replaces the
@@ -484,7 +478,6 @@ func (d *Doppelganger) insert(addr memdata.Addr, payload *memdata.Block, dirty b
 		}
 		de = d.allocData(key, precise, payload, eff)
 		d.Stats.NewDataBlocks++
-		d.m.newDataBlocks.Inc()
 	}
 
 	d.tags[t] = tagEntry{
@@ -499,7 +492,7 @@ func (d *Doppelganger) insert(addr memdata.Addr, payload *memdata.Block, dirty b
 		next:    nilTag,
 		lru:     d.touch(),
 	}
-	d.m.tagsOccupied.Add(1)
+	d.tagsOcc.inc()
 	d.linkHead(de, t)
 	d.data[de].lru = d.tick
 }
@@ -522,7 +515,7 @@ func (d *Doppelganger) allocData(key uint32, precise bool, payload *memdata.Bloc
 		lru:     d.touch(),
 	}
 	d.setPayload(de, payload)
-	d.m.dataOccupied.Add(1)
+	d.dataOcc.inc()
 	eff.MTagWrites++
 	eff.DDataWrites++
 	return de
@@ -535,7 +528,6 @@ func (d *Doppelganger) allocData(key uint32, precise bool, payload *memdata.Bloc
 func (d *Doppelganger) evictData(de int32, eff *Effects) {
 	e := &d.data[de]
 	d.Stats.DataEvictions++
-	d.m.dataEvictions.Inc()
 	d.Stats.TagsAtDataEviction += uint64(e.count)
 	rep := d.payloadOf(de)
 	for t := e.head; t != nilTag; {
@@ -545,12 +537,10 @@ func (d *Doppelganger) evictData(de int32, eff *Effects) {
 			d.store.WriteBlock(te.addr, &rep)
 			eff.MemWrites++
 			d.Stats.DirtyTagEvictions++
-			d.m.dirtyTagEvictions.Inc()
 		}
 		eff.Evicted = append(eff.Evicted, Eviction{Addr: te.addr, Dirty: te.dirty})
 		d.Stats.TagEvictions++
-		d.m.tagEvictions.Inc()
-		d.m.tagsOccupied.Add(-1)
+		d.tagsOcc.dec()
 		*te = tagEntry{prev: nilTag, next: nilTag}
 		t = next
 	}
@@ -560,7 +550,7 @@ func (d *Doppelganger) evictData(de int32, eff *Effects) {
 func (d *Doppelganger) freeData(de int32, eff *Effects) {
 	d.clearPayload(de)
 	d.data[de] = dataEntry{head: nilTag}
-	d.m.dataOccupied.Add(-1)
+	d.dataOcc.dec()
 	eff.MTagWrites++
 }
 
@@ -576,12 +566,10 @@ func (d *Doppelganger) evictTag(t int32, eff *Effects) {
 		d.store.WriteBlock(te.addr, &rep)
 		eff.MemWrites++
 		d.Stats.DirtyTagEvictions++
-		d.m.dirtyTagEvictions.Inc()
 	}
 	eff.Evicted = append(eff.Evicted, Eviction{Addr: te.addr, Dirty: te.dirty})
 	d.Stats.TagEvictions++
-	d.m.tagEvictions.Inc()
-	d.m.tagsOccupied.Add(-1)
+	d.tagsOcc.dec()
 	d.unlink(t)
 	eff.MTagWrites++
 	*te = tagEntry{prev: nilTag, next: nilTag}
@@ -595,7 +583,6 @@ func (d *Doppelganger) evictTag(t int32, eff *Effects) {
 // in the cache.
 func (d *Doppelganger) WriteBack(addr memdata.Addr, payload *memdata.Block) *Effects {
 	d.Stats.WriteBacks++
-	d.m.writeBacks.Inc()
 	eff := &d.eff
 	eff.reset()
 	eff.DTagReads = 1
@@ -603,7 +590,6 @@ func (d *Doppelganger) WriteBack(addr memdata.Addr, payload *memdata.Block) *Eff
 	if t == nilTag {
 		// Inclusivity corner: tag already evicted. Insert fresh as dirty.
 		d.Stats.WritebackMisses++
-		d.m.writebackMisses.Inc()
 		d.insert(addr, payload, true, eff)
 		return eff
 	}
@@ -636,11 +622,9 @@ func (d *Doppelganger) WriteBack(addr memdata.Addr, payload *memdata.Block) *Eff
 		newMap = d.inj.CorruptBits(faults.MapGen, newMap, d.cfg.MapSpec.M)
 	}
 	d.Stats.MapGens++
-	d.m.mapGens.Inc()
 	eff.MapGens++
 	if newMap == te.mapv {
 		d.Stats.SilentWrites++
-		d.m.silentWrites.Inc()
 		te.dirty = true
 		if d.qc.Sample() {
 			// Silent-write canary: the written values are discarded in favor
@@ -659,8 +643,6 @@ func (d *Doppelganger) WriteBack(addr memdata.Addr, payload *memdata.Block) *Eff
 	eff.MTagReads++
 	if de >= 0 {
 		d.Stats.Remaps++
-		d.m.remaps.Inc()
-		d.m.approxSubs.Inc()
 		eff.MTagWrites++
 		if d.qc.Sample() {
 			// Remap-onto-existing canary: the written payload lands on an
@@ -671,7 +653,6 @@ func (d *Doppelganger) WriteBack(addr memdata.Addr, payload *memdata.Block) *Eff
 	} else {
 		de = d.allocData(newMap, false, payload, eff)
 		d.Stats.WriteAllocs++
-		d.m.writeAllocs.Inc()
 	}
 	te.mapv = newMap
 	te.dirty = true

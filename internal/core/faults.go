@@ -6,9 +6,8 @@ import (
 )
 
 // This file wires the fault-injection layer through the three LLC
-// organizations, mirroring the AttachMetrics plumbing in metrics.go: every
-// structure carries an injector pointer unconditionally, and a nil injector
-// is the zero-cost disabled path.
+// organizations: every structure carries an injector pointer
+// unconditionally, and a nil injector is the zero-cost disabled path.
 
 // AttachFaults wires inj into the baseline LLC: its set-associative array
 // draws against the LLC tag/data targets on hits, and blocks fetched from

@@ -6,35 +6,25 @@ import (
 	"doppelganger/internal/metrics"
 )
 
-// coreMetrics are the Doppelgänger cache's registry instruments, resolved
-// once by AttachMetrics. The zero value (all nil) is the disabled fast path:
-// each event costs one nil check and zero allocations.
-//
-// Counters mirror the legacy Stats fields exactly (the differential tests
-// compare the two), plus approx_substitutions — the number of times a block's
-// payload was substituted by similar data already resident in the data array
-// (reuse links on insert + remaps on writeback), the defining approximation
-// event of the design. The two gauges track live occupancy of the decoupled
-// tag and data arrays (map-table occupancy), with high-water marks.
-type coreMetrics struct {
-	reads, readHits   *metrics.Counter
-	writeBacks        *metrics.Counter
-	silentWrites      *metrics.Counter
-	remaps            *metrics.Counter
-	writeAllocs       *metrics.Counter
-	writebackMisses   *metrics.Counter
-	inserts           *metrics.Counter
-	reuseLinks        *metrics.Counter
-	newDataBlocks     *metrics.Counter
-	tagEvictions      *metrics.Counter
-	dirtyTagEvictions *metrics.Counter
-	dataEvictions     *metrics.Counter
-	mapGens           *metrics.Counter
-	approxSubs        *metrics.Counter
-	qualityBypasses   *metrics.Counter
+// level is an occupancy count with its high-water mark: the plain state
+// behind one occupancy gauge.
+type level struct{ n, max int64 }
 
-	tagsOccupied *metrics.Gauge
-	dataOccupied *metrics.Gauge
+func (l *level) inc() {
+	l.n++
+	if l.n > l.max {
+		l.max = l.n
+	}
+}
+
+func (l *level) dec() { l.n-- }
+
+// publish sets g to the level and raises g's high-water mark to at least
+// l's, so a gauge several runs publish into keeps the highest mark any of
+// them reached and the level of the last.
+func (l *level) publish(g *metrics.Gauge) {
+	g.Set(l.max)
+	g.Set(l.n)
 }
 
 // metricName lowercases a config name for use as a metric path segment.
@@ -42,47 +32,52 @@ func metricName(name string) string {
 	return strings.ReplaceAll(strings.ToLower(name), " ", "_")
 }
 
-// AttachMetrics resolves the cache's instruments in reg under
-// "core.<name>.*". A nil registry leaves the disabled fast path. The
-// occupancy gauges are seeded from the current array state so attaching
-// mid-run stays consistent.
-func (d *Doppelganger) AttachMetrics(reg *metrics.Registry) {
+// PublishMetrics adds the cache's Stats to reg under "core.<name>.*", plus
+// approx_substitutions (reuse links on insert plus remaps on writeback: the
+// times a block's payload was replaced by similar data already resident, the
+// defining approximation event of the design) and two gauges for the live
+// occupancy of the decoupled tag and data arrays, with high-water marks. A
+// nil registry is a no-op.
+func (d *Doppelganger) PublishMetrics(reg *metrics.Registry) {
 	if reg == nil {
 		return
 	}
 	prefix := "core." + metricName(d.cfg.Name) + "."
-	d.m = coreMetrics{
-		reads:             reg.Counter(prefix + "reads"),
-		readHits:          reg.Counter(prefix + "read_hits"),
-		writeBacks:        reg.Counter(prefix + "writebacks"),
-		silentWrites:      reg.Counter(prefix + "silent_writes"),
-		remaps:            reg.Counter(prefix + "remaps"),
-		writeAllocs:       reg.Counter(prefix + "write_allocs"),
-		writebackMisses:   reg.Counter(prefix + "writeback_misses"),
-		inserts:           reg.Counter(prefix + "inserts"),
-		reuseLinks:        reg.Counter(prefix + "reuse_links"),
-		newDataBlocks:     reg.Counter(prefix + "new_data_blocks"),
-		tagEvictions:      reg.Counter(prefix + "tag_evictions"),
-		dirtyTagEvictions: reg.Counter(prefix + "dirty_tag_evictions"),
-		dataEvictions:     reg.Counter(prefix + "data_evictions"),
-		mapGens:           reg.Counter(prefix + "map_gens"),
-		approxSubs:        reg.Counter(prefix + "approx_substitutions"),
-		qualityBypasses:   reg.Counter(prefix + "quality_bypasses"),
-		tagsOccupied:      reg.Gauge(prefix + "tags_occupied"),
-		dataOccupied:      reg.Gauge(prefix + "data_occupied"),
+	s := &d.Stats
+	for _, c := range []struct {
+		name string
+		v    uint64
+	}{
+		{"reads", s.Reads},
+		{"read_hits", s.ReadHits},
+		{"writebacks", s.WriteBacks},
+		{"silent_writes", s.SilentWrites},
+		{"remaps", s.Remaps},
+		{"write_allocs", s.WriteAllocs},
+		{"writeback_misses", s.WritebackMisses},
+		{"inserts", s.Inserts},
+		{"reuse_links", s.ReuseLinks},
+		{"new_data_blocks", s.NewDataBlocks},
+		{"tag_evictions", s.TagEvictions},
+		{"dirty_tag_evictions", s.DirtyTagEvictions},
+		{"data_evictions", s.DataEvictions},
+		{"map_gens", s.MapGens},
+		{"approx_substitutions", s.ReuseLinks + s.Remaps},
+		{"quality_bypasses", s.QualityBypasses},
+	} {
+		reg.Counter(prefix + c.name).Add(c.v)
 	}
-	d.m.tagsOccupied.Set(int64(d.TagEntries()))
-	d.m.dataOccupied.Set(int64(d.DataBlocks()))
+	d.tagsOcc.publish(reg.Gauge(prefix + "tags_occupied"))
+	d.dataOcc.publish(reg.Gauge(prefix + "data_occupied"))
 }
 
-// AttachMetrics resolves the baseline LLC's instruments: it simply delegates
-// to the underlying set-associative array ("cache.<name>.*").
-func (b *Baseline) AttachMetrics(reg *metrics.Registry) {
-	b.arr.AttachMetrics(reg)
+// PublishMetrics publishes the baseline LLC's array ("cache.<name>.*").
+func (b *Baseline) PublishMetrics(reg *metrics.Registry) {
+	b.arr.PublishMetrics(reg)
 }
 
-// AttachMetrics attaches both halves of the split organization.
-func (s *Split) AttachMetrics(reg *metrics.Registry) {
-	s.Precise.AttachMetrics(reg)
-	s.Doppel.AttachMetrics(reg)
+// PublishMetrics publishes both halves of the split organization.
+func (s *Split) PublishMetrics(reg *metrics.Registry) {
+	s.Precise.PublishMetrics(reg)
+	s.Doppel.PublishMetrics(reg)
 }

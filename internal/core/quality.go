@@ -43,7 +43,6 @@ func (s *Split) AttachQuality(qc *quality.Controller) {
 // uniDoppelgänger block would.
 func (d *Doppelganger) migratePrecise(t int32, payload *memdata.Block, eff *Effects) {
 	d.Stats.QualityBypasses++
-	d.m.qualityBypasses.Inc()
 	te := &d.tags[t]
 	d.unlink(t)
 	eff.MTagWrites++

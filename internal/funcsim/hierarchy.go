@@ -42,21 +42,6 @@ type Stats struct {
 	RemoteWritebacks     uint64 // M copies flushed to LLC for another core
 }
 
-// hierMetrics are the hierarchy's registry instruments, resolved once by
-// AttachMetrics; the zero value is the disabled no-op path. Each counter
-// mirrors one legacy Stats/Totals field at the same increment site, so the
-// differential tests can prove the two accountings never drift.
-type hierMetrics struct {
-	loads, stores        *metrics.Counter
-	l1Hits, l1Misses     *metrics.Counter
-	l2Hits, l2Misses     *metrics.Counter
-	llcReads, llcHits    *metrics.Counter
-	dirtyBackinvalWrites *metrics.Counter
-	remoteWritebacks     *metrics.Counter
-	memReads, memWrites  *metrics.Counter
-	mapGens              *metrics.Counter
-}
-
 // Hierarchy is the functional model: per-core L1/L2 over one shared LLC,
 // with an MSI directory maintained at the LLC level (§3.6).
 type Hierarchy struct {
@@ -68,10 +53,9 @@ type Hierarchy struct {
 	store *memdata.Store
 	ann   *approx.Annotations
 	rec   *trace.Recorder
-	m     hierMetrics
 
-	// MSI tracks directory state transitions and back-invalidations; always
-	// on (plain counters), mirrored into the registry once attached.
+	// MSI tracks directory state transitions and back-invalidations in plain
+	// counters.
 	MSI *coherence.Tracker
 
 	// SnapshotEvery triggers SnapshotFn after that many LLC-level fills
@@ -129,36 +113,42 @@ func New(cfg Config, llc core.LLC, store *memdata.Store, ann *approx.Annotations
 	return h
 }
 
-// AttachMetrics threads the whole hierarchy through reg: its own counters,
-// every private cache array, the MSI tracker, and (when the organization
-// supports it) the LLC. A nil registry is a no-op, leaving the zero-cost
-// disabled path.
-func (h *Hierarchy) AttachMetrics(reg *metrics.Registry) {
+// PublishMetrics adds everything the hierarchy counted to reg: its own
+// Stats and LLC totals under "funcsim.*", every private cache array, the MSI
+// tracker, and (when the organization counts events of its own) the LLC.
+// Runs call it once, when they return. A nil registry is a no-op.
+func (h *Hierarchy) PublishMetrics(reg *metrics.Registry) {
 	if reg == nil {
 		return
 	}
-	h.m = hierMetrics{
-		loads:                reg.Counter("funcsim.loads"),
-		stores:               reg.Counter("funcsim.stores"),
-		l1Hits:               reg.Counter("funcsim.l1.hits"),
-		l1Misses:             reg.Counter("funcsim.l1.misses"),
-		l2Hits:               reg.Counter("funcsim.l2.hits"),
-		l2Misses:             reg.Counter("funcsim.l2.misses"),
-		llcReads:             reg.Counter("funcsim.llc.reads"),
-		llcHits:              reg.Counter("funcsim.llc.hits"),
-		dirtyBackinvalWrites: reg.Counter("funcsim.dirty_backinval_writes"),
-		remoteWritebacks:     reg.Counter("funcsim.remote_writebacks"),
-		memReads:             reg.Counter("funcsim.llc.mem_reads"),
-		memWrites:            reg.Counter("funcsim.llc.mem_writes"),
-		mapGens:              reg.Counter("funcsim.llc.map_gens"),
+	s := &h.Stats
+	for _, c := range []struct {
+		name string
+		v    uint64
+	}{
+		{"funcsim.loads", s.Loads},
+		{"funcsim.stores", s.Stores},
+		{"funcsim.l1.hits", s.L1Hits},
+		{"funcsim.l1.misses", s.L1Misses},
+		{"funcsim.l2.hits", s.L2Hits},
+		{"funcsim.l2.misses", s.L2Misses},
+		{"funcsim.llc.reads", s.LLCReads},
+		{"funcsim.llc.hits", s.LLCHits},
+		{"funcsim.dirty_backinval_writes", s.DirtyBackInvalWrites},
+		{"funcsim.remote_writebacks", s.RemoteWritebacks},
+		{"funcsim.llc.mem_reads", uint64(h.Totals.MemReads)},
+		{"funcsim.llc.mem_writes", uint64(h.Totals.MemWrites)},
+		{"funcsim.llc.map_gens", uint64(h.Totals.MapGens)},
+	} {
+		reg.Counter(c.name).Add(c.v)
 	}
 	for c := 0; c < h.cfg.Cores; c++ {
-		h.l1[c].AttachMetrics(reg)
-		h.l2[c].AttachMetrics(reg)
+		h.l1[c].PublishMetrics(reg)
+		h.l2[c].PublishMetrics(reg)
 	}
-	h.MSI.Attach(reg)
-	if a, ok := h.llc.(interface{ AttachMetrics(*metrics.Registry) }); ok {
-		a.AttachMetrics(reg)
+	h.MSI.PublishMetrics(reg)
+	if p, ok := h.llc.(interface{ PublishMetrics(*metrics.Registry) }); ok {
+		p.PublishMetrics(reg)
 	}
 }
 
@@ -211,10 +201,8 @@ func (h *Hierarchy) dirLine(ba memdata.Addr) *coherence.Line {
 func (h *Hierarchy) access(c int, addr memdata.Addr, write bool) *memdata.Block {
 	if write {
 		h.Stats.Stores++
-		h.m.stores.Inc()
 	} else {
 		h.Stats.Loads++
-		h.m.loads.Inc()
 	}
 	h.Last = Outcome{}
 	ba := addr.BlockAddr()
@@ -222,7 +210,6 @@ func (h *Hierarchy) access(c int, addr memdata.Addr, write bool) *memdata.Block 
 	// L1.
 	if l := h.l1[c].Lookup(ba); l != nil {
 		h.Stats.L1Hits++
-		h.m.l1Hits.Inc()
 		h.Last.Level = 1
 		if !write || l.Coh == coherence.Modified {
 			if write {
@@ -240,12 +227,10 @@ func (h *Hierarchy) access(c int, addr memdata.Addr, write bool) *memdata.Block 
 		return &l.Data
 	}
 	h.Stats.L1Misses++
-	h.m.l1Misses.Inc()
 
 	// L2.
 	if l2 := h.l2[c].Lookup(ba); l2 != nil {
 		h.Stats.L2Hits++
-		h.m.l2Hits.Inc()
 		h.Last.Level = 2
 		if write && l2.Coh != coherence.Modified {
 			h.upgrade(c, ba)
@@ -262,7 +247,6 @@ func (h *Hierarchy) access(c int, addr memdata.Addr, write bool) *memdata.Block 
 		return &l1.Data
 	}
 	h.Stats.L2Misses++
-	h.m.l2Misses.Inc()
 
 	// LLC. First resolve coherence: a remote Modified copy is written back
 	// to the LLC (using the §3.4 writeback procedure) before the data is
@@ -277,11 +261,9 @@ func (h *Hierarchy) access(c int, addr memdata.Addr, write bool) *memdata.Block 
 	}
 
 	h.Stats.LLCReads++
-	h.m.llcReads.Inc()
 	data, eff := h.llc.Read(ba)
 	if eff.Hit {
 		h.Stats.LLCHits++
-		h.m.llcHits.Inc()
 		h.Last.Level = 3
 	} else {
 		h.Last.Level = 4
@@ -370,7 +352,6 @@ func (h *Hierarchy) flushRemote(owner int, ba memdata.Addr) {
 		return // copy already clean or evicted; nothing to flush
 	}
 	h.Stats.RemoteWritebacks++
-	h.m.remoteWritebacks.Inc()
 	eff := h.llc.WriteBack(ba, data)
 	h.absorb(eff)
 }
@@ -398,7 +379,6 @@ func (h *Hierarchy) dropPrivate(c int, ba memdata.Addr, flushDirty bool) {
 	} else {
 		h.store.WriteBlock(ba, dirtyData)
 		h.Stats.DirtyBackInvalWrites++
-		h.m.dirtyBackinvalWrites.Inc()
 	}
 }
 
@@ -410,9 +390,6 @@ func (h *Hierarchy) absorb(eff *core.Effects) {
 	h.Last.LLCEvictions += len(eff.Evicted)
 	h.Last.MemReads += eff.MemReads
 	h.Last.MemWrites += eff.MemWrites
-	h.m.memReads.Add(uint64(eff.MemReads))
-	h.m.memWrites.Add(uint64(eff.MemWrites))
-	h.m.mapGens.Add(uint64(eff.MapGens))
 	h.applyEffects(eff)
 }
 
@@ -436,10 +413,8 @@ func (h *Hierarchy) applyEffects(eff *core.Effects) {
 			if dirtyData != nil {
 				h.store.WriteBlock(ev.Addr, dirtyData)
 				h.Stats.DirtyBackInvalWrites++
-				h.m.dirtyBackinvalWrites.Inc()
 				h.Totals.MemWrites++
 				h.Last.MemWrites++
-				h.m.memWrites.Inc()
 			}
 		}
 		if dl, ok := h.dir.Remove(ev.Addr); ok {

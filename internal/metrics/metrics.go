@@ -1,20 +1,23 @@
 // Package metrics is the simulator-wide observability layer: a registry of
-// named counters, gauges and histograms that every simulation layer (cache
-// arrays, coherence directory, DRAM, Doppelgänger core, timing simulator,
-// experiment sweep) threads its event counts through.
+// named counters, gauges and histograms.
 //
-// The design point is a nil-sink fast path: a nil *Registry hands out nil
-// instruments, and every instrument method is a no-op on a nil receiver.
-// Instruments are resolved once at attach time and held as struct fields, so
-// the disabled path costs one nil check per event — zero allocations on the
-// cache access hot path (locked down by testing.AllocsPerRun in
-// internal/cache).
+// Two kinds of layers fill it. Layers that act once per request, capture,
+// LLC operation or off-chip access (the sweep server, the capture gateway,
+// the decoded-capture cache, the fault injector, the quality controller,
+// DRAM) resolve instruments once at attach time, hold them as struct fields
+// and count per event. A nil *Registry hands out nil instruments, and every
+// instrument method is a no-op on a nil receiver, so with no registry those
+// layers pay one nil check per event.
 //
-// Instruments with the same name share storage: attaching four per-core L1
-// arrays to "cache.l1.hits" yields one counter aggregating all four, which
-// is exactly the granularity the legacy funcsim/timesim counters use — the
-// differential tests exploit this to prove registry totals equal the legacy
-// accounting bit for bit.
+// The simulation layers a run owns (cache arrays, the coherence tracker,
+// the functional hierarchy, the LLC organizations, the timing core model)
+// count per access, so they keep no instruments: they count only in their
+// own plain statistics fields and publish those into the registry once,
+// when the run returns. One accounting exists per event, and the registry
+// holds exactly what those fields hold.
+//
+// Instruments with the same name share storage: publishing four per-core L1
+// arrays to "cache.l1.hits" yields one counter aggregating all four.
 package metrics
 
 import (
@@ -121,21 +124,27 @@ type Histogram struct {
 }
 
 // Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
+func (h *Histogram) Observe(v float64) { h.ObserveN(v, 1) }
+
+// ObserveN records n observations of the value v. It is exact: n
+// observations of one value add n to the count, n times the rounded value to
+// the sum and n to one bucket, just as n Observe calls do, so a layer that
+// counts occurrences per value can publish them in one call per value.
+func (h *Histogram) ObserveN(v float64, n uint64) {
+	if h == nil || n == 0 {
 		return
 	}
-	h.count.Add(1)
+	h.count.Add(n)
 	if v > 0 {
-		h.sum.Add(uint64(v + 0.5))
+		h.sum.Add(n * uint64(v+0.5))
 	}
 	for i, b := range h.bounds {
 		if v <= b {
-			h.counts[i].Add(1)
+			h.counts[i].Add(n)
 			return
 		}
 	}
-	h.over.Add(1)
+	h.over.Add(n)
 }
 
 // Count returns the number of observations (0 on nil).
@@ -201,7 +210,7 @@ func NewRegistry() *Registry {
 }
 
 // Counter returns (creating once) the named counter; nil on a nil registry.
-// Callers resolve instruments at attach time, never on the hot path.
+// Callers resolve instruments at attach or publish time, never per event.
 func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil

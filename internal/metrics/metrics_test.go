@@ -113,6 +113,38 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
+// TestObserveNEqualsRepeatedObserve checks the bulk add against n single
+// observations of the same value, for values in every bucket, on a bucket
+// bound, in the overflow bucket, at zero and below zero: count, sum and every
+// bucket, overflow included, must agree.
+func TestObserveNEqualsRepeatedObserve(t *testing.T) {
+	bounds := []float64{1, 4, 16}
+	bulk, single := NewRegistry(), NewRegistry()
+	hb, hs := bulk.Histogram("h", bounds), single.Histogram("h", bounds)
+	for i, v := range []float64{-3, 0, 0.4, 1, 2.5, 4, 9, 16, 17, 1e6} {
+		n := uint64(3*i + 1)
+		hb.ObserveN(v, n)
+		for j := uint64(0); j < n; j++ {
+			hs.Observe(v)
+		}
+	}
+	hb.ObserveN(5, 0)
+	if hb.Count() != hs.Count() || hb.Sum() != hs.Sum() {
+		t.Fatalf("bulk (count %d, sum %d), single (count %d, sum %d)", hb.Count(), hb.Sum(), hs.Count(), hs.Sum())
+	}
+	got, want := bulk.Snapshot(), single.Snapshot()
+	if len(got) != 1 || len(want) != 1 || len(got[0].Buckets) != len(bounds)+1 {
+		t.Fatalf("bulk snapshot %+v, single %+v", got, want)
+	}
+	for i := range want[0].Buckets {
+		if got[0].Buckets[i] != want[0].Buckets[i] {
+			t.Errorf("bucket %d: bulk %+v, single %+v", i, got[0].Buckets[i], want[0].Buckets[i])
+		}
+	}
+	var h *Histogram
+	h.ObserveN(1, 5) // nil receiver: no-op
+}
+
 // TestSnapshotDeterminism: two snapshots of the same state are identical and
 // sorted by name within kind.
 func TestSnapshotDeterminism(t *testing.T) {

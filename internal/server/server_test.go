@@ -8,11 +8,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"doppelganger/internal/metrics"
 	"doppelganger/internal/sweep"
 )
 
@@ -81,6 +83,77 @@ func TestSubmitMemoizesAndMatchesSerial(t *testing.T) {
 	}
 	if !bytes.Equal(res.Payload, want) {
 		t.Fatalf("server payload differs from serial runner:\n  server: %s\n  serial: %s", res.Payload, want)
+	}
+}
+
+// TestRunnersKeepNoTaskSnapshots: sweepd serves only the aggregate
+// registry, so its runners keep no per-task snapshots after serving cells,
+// and every simulation instrument /metrics serves equals that of a runner
+// that computed the same cells and kept its snapshots.
+func TestRunnersKeepNoTaskSnapshots(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations")
+	}
+	cfg := testConfig()
+	cfg.Shards = 1 // one runner computes every cell, as the reference does
+	s := mustServer(t, cfg)
+	ref := sweep.NewRunner(cfg.Scale)
+	ref.Only = cfg.Only
+	ref.Metrics = metrics.NewRegistry()
+	ref.TaskMetrics = true
+	for _, c := range []Cell{
+		{Kind: "split-error", Bench: "kmeans", M: 14, Frac: 0.25},
+		{Kind: "split-timing", Bench: "kmeans", M: 14, Frac: 0.25},
+		{Kind: "uni-timing", Bench: "kmeans", M: 14, Frac: 0.5},
+	} {
+		if _, err := s.Submit(context.Background(), c); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := executeCell(context.Background(), ref, c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, sh := range s.shards {
+		if n := len(sh.runner.TaskSnapshots()); n != 0 {
+			t.Errorf("shard %d kept %d task snapshots", sh.id, n)
+		}
+	}
+	if len(ref.TaskSnapshots()) == 0 {
+		t.Fatal("the reference runner kept no task snapshots")
+	}
+
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	served := map[string]metrics.Sample{}
+	for dec := json.NewDecoder(resp.Body); dec.More(); {
+		var line struct {
+			Task string `json:"task"`
+			metrics.Sample
+		}
+		if err := dec.Decode(&line); err != nil {
+			t.Fatal(err)
+		}
+		served[line.Name] = line.Sample
+	}
+	sim := 0
+	for _, want := range ref.Metrics.Snapshot() {
+		if !strings.HasPrefix(want.Name, "funcsim.") && !strings.HasPrefix(want.Name, "cache.") &&
+			!strings.HasPrefix(want.Name, "core.") && !strings.HasPrefix(want.Name, "coherence.") &&
+			!strings.HasPrefix(want.Name, "timesim.") {
+			continue
+		}
+		sim++
+		if got := served[want.Name]; !reflect.DeepEqual(got, want) {
+			t.Errorf("/metrics %s = %+v, reference %+v", want.Name, got, want)
+		}
+	}
+	if sim == 0 {
+		t.Fatal("the reference registry holds no simulation instruments")
 	}
 }
 

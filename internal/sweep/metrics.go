@@ -27,8 +27,9 @@ func (r *Runner) instrument() *metrics.Registry {
 }
 
 // collect merges a completed task's child registry into the runner-wide
-// aggregate and records a labeled snapshot. Merging is commutative, so the
-// aggregate is identical for every worker count and scheduling order.
+// aggregate and, when TaskMetrics is set, records a labeled snapshot.
+// Merging is commutative, so the aggregate is identical for every worker
+// count and scheduling order.
 func (r *Runner) collect(task string, child *metrics.Registry) {
 	if r.Metrics == nil || child == nil {
 		return
@@ -36,7 +37,9 @@ func (r *Runner) collect(task string, child *metrics.Registry) {
 	r.metricsMu.Lock()
 	defer r.metricsMu.Unlock()
 	r.Metrics.Merge(child)
-	r.taskSnaps = append(r.taskSnaps, TaskMetrics{Task: task, Samples: child.Snapshot()})
+	if r.TaskMetrics {
+		r.taskSnaps = append(r.taskSnaps, TaskMetrics{Task: task, Samples: child.Snapshot()})
+	}
 }
 
 // nextTracePID allocates a process lane for one timing run in the shared
@@ -60,9 +63,10 @@ func (r *Runner) TaskSnapshots() []TaskMetrics {
 	return out
 }
 
-// WriteMetricsJSONL emits every per-task snapshot (sorted by task label)
-// followed by the runner-wide aggregate under the task label "total", one
-// JSON object per line. A runner without a metrics sink writes nothing.
+// WriteMetricsJSONL emits every per-task snapshot kept (sorted by task
+// label; none unless TaskMetrics is set) followed by the runner-wide
+// aggregate under the task label "total", one JSON object per line. A
+// runner without a metrics sink writes nothing.
 func (r *Runner) WriteMetricsJSONL(w io.Writer) error {
 	if r.Metrics == nil {
 		return nil

@@ -102,10 +102,13 @@ type Runner struct {
 	DecodedCache *trace.DecodedCache
 
 	// Metrics, when non-nil, aggregates instrument totals across every
-	// simulation the runner performs; each memoized task also leaves a
-	// labeled per-task snapshot (see WriteMetricsJSONL). nil disables all
-	// metric collection at zero cost.
+	// simulation the runner performs. nil disables all metric collection at
+	// zero cost.
 	Metrics *metrics.Registry
+	// TaskMetrics, with Metrics set, also keeps a labeled snapshot of every
+	// memoized task's instruments for WriteMetricsJSONL, for the life of the
+	// runner. Without it only the aggregate is kept.
+	TaskMetrics bool
 	// Trace, when non-nil, receives Chrome-trace events from every timing
 	// run, each on its own process lane labeled with the task key.
 	Trace *metrics.TraceWriter

@@ -41,7 +41,8 @@ func TestWritebackBufferStalls(t *testing.T) {
 		rec.Access(0, memdata.Addr(0x10000+i*64), true, 4, uint64(i), false)
 	}
 	loose := DefaultConfig()
-	tight := DefaultConfig()
+	loose.Cores = 1
+	tight := loose
 	tight.WBEntries = 1
 	tight.MemOccupancy = 50
 	a := Run(rec, memdata.NewStore(), nil, baselineBuilder(2<<10), loose)

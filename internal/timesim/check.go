@@ -1,15 +1,20 @@
 package timesim
 
-import "fmt"
+import (
+	"fmt"
 
-// CrossCheck verifies that the metrics registry and the legacy Result
-// counters — two accountings maintained independently at the same event
-// sites — agree exactly. It returns nil when metrics were disabled.
+	"doppelganger/internal/metrics"
+)
+
+// CrossCheck verifies that reg, the registry this run published into, holds
+// the Result's counters under the names the run publishes them as. Each
+// event is counted once, in the hierarchy's and the core model's plain
+// fields, so the check guards the mapping from published name to field. It
+// returns nil when reg is nil.
 //
 // The check is only meaningful when the registry was dedicated to this run:
-// a registry shared across runs accumulates events from all of them.
-func (r *Result) CrossCheck() error {
-	reg := r.Metrics
+// a registry shared across runs accumulates counts from all of them.
+func (r *Result) CrossCheck(reg *metrics.Registry) error {
 	if reg == nil {
 		return nil
 	}
@@ -33,8 +38,8 @@ func (r *Result) CrossCheck() error {
 		{"funcsim.llc.mem_reads", uint64(r.Totals.MemReads)},
 		{"funcsim.llc.mem_writes", uint64(r.Totals.MemWrites)},
 		{"funcsim.llc.map_gens", uint64(r.Totals.MapGens)},
-		// Private array events counted a second time inside internal/cache.
-		// L1/L2 Lookup is called exactly once per hierarchy probe, so the
+		// Private array events, counted in each array's own Stats. L1/L2
+		// Lookup is called exactly once per hierarchy probe, so the
 		// array-level and hierarchy-level counts must coincide.
 		{"cache.l1.hits", r.Hier.L1Hits},
 		{"cache.l1.misses", r.Hier.L1Misses},
@@ -45,7 +50,7 @@ func (r *Result) CrossCheck() error {
 	}
 	for _, c := range checks {
 		if got := reg.CounterValue(c.name); got != c.want {
-			return fmt.Errorf("timesim: metric %s = %d, legacy counter = %d", c.name, got, c.want)
+			return fmt.Errorf("timesim: metric %s = %d, result counter = %d", c.name, got, c.want)
 		}
 	}
 	return nil

@@ -1,8 +1,8 @@
-// Differential tests: the metrics registry and the legacy counters are two
-// independent accountings of the same events, and they must agree exactly
-// for real workloads on every LLC organization. The file lives in an
-// external test package so it can drive whole benchmarks through
-// internal/workloads.
+// Differential tests: every run counts in the simulation layers' plain
+// fields and publishes them into its registry when it returns. For real
+// workloads on every LLC organization, each published name must hold the
+// field it stands for. The file lives in an external test package so it can
+// drive whole benchmarks through internal/workloads.
 package timesim_test
 
 import (
@@ -22,7 +22,7 @@ const diffScale = 0.02
 
 var diffBenchmarks = []string{"blackscholes", "jpeg", "kmeans"}
 
-// checkFunctional compares a functional run's registry against every legacy
+// checkFunctional compares a functional run's registry against every
 // counter the hierarchy and the LLC organization maintain.
 func checkFunctional(reg *metrics.Registry, run *workloads.RunResult) error {
 	s := run.Hier.Stats
@@ -83,8 +83,8 @@ func checkFunctional(reg *metrics.Registry, run *workloads.RunResult) error {
 			{pre + "map_gens", ds.MapGens},
 			{pre + "approx_substitutions", ds.ReuseLinks + ds.Remaps},
 		}...)
-		// Occupancy gauges must have tracked every insert/evict down to the
-		// post-flush state.
+		// The occupancy levels must have tracked every insert/evict down to
+		// the post-flush state.
 		if got, want := reg.GaugeValue(pre+"tags_occupied"), int64(dopp.TagEntries()); got != want {
 			return fmt.Errorf("gauge %stags_occupied = %d, live occupancy = %d", pre, got, want)
 		}
@@ -94,7 +94,7 @@ func checkFunctional(reg *metrics.Registry, run *workloads.RunResult) error {
 	}
 	for _, c := range checks {
 		if got := reg.CounterValue(c.name); got != c.want {
-			return fmt.Errorf("metric %s = %d, legacy counter = %d", c.name, got, c.want)
+			return fmt.Errorf("metric %s = %d, counter = %d", c.name, got, c.want)
 		}
 	}
 	return nil
@@ -109,9 +109,8 @@ func diffBuilders() map[string]workloads.LLCBuilder {
 }
 
 // TestDifferentialFunctional runs each benchmark functionally against each
-// LLC organization with a dedicated registry and proves the registry equals
-// the legacy counters exactly. Subtests run in parallel, so `go test -race
-// -cpu 1,4` also exercises the instrument atomics under contention.
+// LLC organization with a dedicated registry and checks that the published
+// registry equals the counters exactly.
 func TestDifferentialFunctional(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-benchmark differential check")
@@ -136,8 +135,8 @@ func TestDifferentialFunctional(t *testing.T) {
 }
 
 // TestDifferentialTiming records each benchmark once and replays it against
-// each organization with a dedicated registry; Result.CrossCheck proves the
-// timing-side accounting (including the core model) matches.
+// each organization with a dedicated registry; Result.CrossCheck checks the
+// timing-side publication (including the core model) against the result.
 func TestDifferentialTiming(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-benchmark differential check")
@@ -158,7 +157,7 @@ func TestDifferentialTiming(t *testing.T) {
 				cfg.Cores = 4
 				cfg.Metrics = reg
 				res := timesim.Run(rec.Recorder, rec.InitialMem, rec.Annotations, builder, cfg)
-				if err := res.CrossCheck(); err != nil {
+				if err := res.CrossCheck(reg); err != nil {
 					t.Errorf("%s: %v", llcName, err)
 				}
 				if got := reg.CounterValue("timesim.instructions"); got != res.Instructions {
@@ -169,9 +168,10 @@ func TestDifferentialTiming(t *testing.T) {
 	}
 }
 
-// TestSharedRegistryAggregates attaches several concurrent runs to ONE
-// registry and checks the aggregate equals the sum of the per-run legacy
-// counters — the property the sweep runner's per-task merge relies on.
+// TestSharedRegistryAggregates has several concurrent runs publish into ONE
+// registry and checks the aggregate equals the sum of the per-run counters —
+// the property the sweep runner's per-task merge relies on. Under `go test
+// -race` it also exercises concurrent publishes.
 func TestSharedRegistryAggregates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-benchmark differential check")

@@ -1,11 +1,13 @@
 package timesim_test
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"testing"
 
+	"doppelganger/internal/metrics"
 	"doppelganger/internal/sweep"
 	"doppelganger/internal/timesim"
 	"doppelganger/internal/workloads"
@@ -69,4 +71,81 @@ func TestTimingResultsPinned(t *testing.T) {
 			}
 		})
 	}
+}
+
+// pinnedRegistry holds the SHA-256 of the JSONL export of a fresh registry
+// after each of these runs: the baseline functional run that records each
+// benchmark's streams ("<bench>/record"), each timing replay of that
+// recording under the organizations TestTimingResultsPinned uses, and one
+// split functional run, which exercises the Doppelgänger counters and the
+// occupancy gauges' high-water marks. Every published name, value, gauge
+// level and mark, and histogram bucket is covered.
+var pinnedRegistry = map[string]string{
+	"canneal/record":        "76e825e1ca7f204aeb278ff35148452ed7de3ac2eb21eeb52884a5c09c1d8f54",
+	"canneal/baseline":      "64d63fe6892e8b28bb0865c71f4b9628d40c42fa4594f57a6b8b3fc70b5fe7f3",
+	"canneal/split":         "415860a2ffe4cf5ff28a4b3acf29ff0f07ceee70a532b3e7821b1a6a6dc87a99",
+	"canneal/unified":       "e6e726879cabf01aee04d5d48a5be6aa4ba5e590b8bb85776317eb0736c19b7e",
+	"kmeans/record":         "e356fa3c0525a61f46b9b731ae800380dff9900d36da707906511f8dd2c4671e",
+	"kmeans/baseline":       "0fd48c6e65bb9c3a8c47fcbe21cdce4238ce0fa8c248832976d04c00d6a6516e",
+	"kmeans/split":          "9535d870da8ad5c554851da8b5b9c4cd86bf1440c4e144389949cbc0e47a707d",
+	"kmeans/unified":        "5aa2b21eb5d4fe8c12c71d1e41760d9937233fdd8f4b1ace0f09b9c137225873",
+	"jpeg/record":           "73ab0a9790cf06a73665cbed40c96c84a332c8ce17c46dfacc21e4af18e3926d",
+	"jpeg/baseline":         "2cd54ddfc561093f27fd98b03ad21395d9aae876861f23e52d3cbe599c067e44",
+	"jpeg/split":            "85bcef9946044bc92d98adf0484681c6a836d1f3731ca349080e3089e2c46509",
+	"jpeg/unified":          "c29c6b0201be69641ab28c845fb92cbb43b4334b962e006f4107134dd44a9f12",
+	"jpeg/split-functional": "5844ad192e1de3f826c83905b698c682a5c0e9b14f4efb16bdd494189d7a76b1",
+}
+
+// TestRegistryPinned requires every run's published instruments to hash to
+// their pinned digests, so a change to how the simulation layers count
+// cannot move a published value, add or drop an instrument, or change a
+// histogram's buckets.
+func TestRegistryPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-benchmark runs")
+	}
+	check := func(t *testing.T, key string, reg *metrics.Registry) {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := reg.WriteJSONL(&buf, "pin"); err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(buf.Bytes())
+		if got, want := hex.EncodeToString(sum[:]), pinnedRegistry[key]; got != want {
+			t.Errorf("%s: registry digest %s, pinned %s", key, got, want)
+		}
+	}
+	builders := diffBuilders()
+	for _, bench := range []string{"canneal", "kmeans", "jpeg"} {
+		bench := bench
+		t.Run(bench, func(t *testing.T) {
+			t.Parallel()
+			f, err := workloads.ByName(bench)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg := metrics.NewRegistry()
+			rec := workloads.RunFunctional(f.New(pinScale), workloads.BaselineBuilder(2<<20, 16),
+				workloads.RunOptions{Cores: 4, Record: true, Metrics: reg})
+			check(t, bench+"/record", reg)
+			for _, llc := range []string{"baseline", "split", "unified"} {
+				reg := metrics.NewRegistry()
+				cfg := timesim.DefaultConfig()
+				cfg.Cores = 4
+				cfg.Metrics = reg
+				timesim.Run(rec.Recorder, rec.InitialMem, rec.Annotations, builders[llc], cfg)
+				check(t, bench+"/"+llc, reg)
+			}
+		})
+	}
+	t.Run("functional", func(t *testing.T) {
+		t.Parallel()
+		f, err := workloads.ByName("jpeg")
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := metrics.NewRegistry()
+		workloads.RunFunctional(f.New(pinScale), builders["split"], workloads.RunOptions{Cores: 4, Metrics: reg})
+		check(t, "jpeg/split-functional", reg)
+	})
 }

@@ -66,9 +66,10 @@ type Config struct {
 	// bypass behaviour as guarded functional runs. nil disables.
 	Quality *quality.Controller
 
-	// Metrics optionally threads the whole run — private caches, MSI
-	// tracker, LLC organization, DRAM and the core model itself — through a
-	// registry. nil keeps the zero-cost disabled path.
+	// Metrics optionally receives what the run counted: the private caches,
+	// MSI tracker, LLC organization and core model count in plain fields and
+	// are published into it once, when the run returns; the DRAM model, when
+	// enabled, counts into it per access. nil publishes nothing.
 	Metrics *metrics.Registry
 	// Trace optionally streams Chrome-trace events (LLC/memory-level
 	// operations as duration events, back-invalidation bursts as instants)
@@ -96,11 +97,6 @@ type Result struct {
 	Instructions  uint64   // total instructions retired
 	Totals        core.Effects
 	Hier          funcsim.Stats
-
-	// Metrics is the registry the run was attached to (nil when disabled).
-	// The legacy counter fields above are then a second, independently
-	// maintained view of the same events; CrossCheck proves they agree.
-	Metrics *metrics.Registry
 }
 
 // MemTraffic is the total off-chip traffic in blocks (Fig. 12's metric).
@@ -129,7 +125,7 @@ type coreState struct {
 	rob robRing
 
 	// Stall accounting: cycles the next op's issue was pushed back waiting
-	// for ROB retirement / a free MSHR. Dumped into the registry at run end.
+	// for ROB retirement / a free MSHR. Published at run end.
 	robStall  float64
 	mshrStall float64
 }
@@ -253,13 +249,63 @@ func (q *coreQueue) down(i int) {
 	}
 }
 
+// occupancy counts, per observed value, the ROB and MSHR occupancies the
+// core model sees after each dispatch: the plain state behind the two
+// occupancy histograms. Both slices are indexed by value and kept the same
+// length.
+type occupancy struct{ rob, mshr []uint64 }
+
+// count records one dispatch: rob ops in the ROB, mshr of them (never more)
+// still in flight.
+func (o *occupancy) count(rob, mshr int) {
+	for rob >= len(o.rob) {
+		o.rob = append(o.rob, 0)
+		o.mshr = append(o.mshr, 0)
+	}
+	o.rob[rob]++
+	o.mshr[mshr]++
+}
+
+// publish adds what a run counted to reg: the hierarchy's counters, the core
+// model's instruction and stall counts, and the occupancy histograms, each
+// value's occurrences in one bulk add. A nil registry is a no-op.
+func publish(reg *metrics.Registry, h *funcsim.Hierarchy, cores []*coreState, instructions uint64, occ *occupancy) {
+	if reg == nil {
+		return
+	}
+	h.PublishMetrics(reg)
+	var rs, ms float64
+	for _, cs := range cores {
+		rs += cs.robStall
+		ms += cs.mshrStall
+	}
+	reg.Counter("timesim.instructions").Add(instructions)
+	reg.Counter("timesim.rob_stall_cycles").Add(uint64(rs))
+	reg.Counter("timesim.mshr_stall_cycles").Add(uint64(ms))
+	for _, hist := range []struct {
+		name   string
+		bounds []float64
+		counts []uint64
+	}{
+		{"timesim.rob_occupancy", []float64{4, 8, 16, 32, 48, 64, 80}, occ.rob},
+		{"timesim.mshr_occupancy", []float64{1, 2, 4, 6, 8}, occ.mshr},
+	} {
+		hg := reg.Histogram(hist.name, hist.bounds)
+		for v, n := range hist.counts {
+			hg.ObserveN(float64(v), n)
+		}
+	}
+}
+
 // Run replays the traces against a fresh hierarchy whose LLC organization
-// is built by llcb over a clone of the initial memory image.
+// is built by llcb over a clone of the initial memory image. It panics only
+// on a caller bug: a recording whose core count differs from cfg.Cores.
 func Run(tr *trace.Recorder, initial *memdata.Store, ann *approx.Annotations,
 	llcb func(st *memdata.Store, ann *approx.Annotations) core.LLC, cfg Config) *Result {
 	res, err := RunContext(context.Background(), tr, initial, ann, llcb, cfg)
 	if err != nil {
-		// Background contexts are never cancelled.
+		// Background contexts are never cancelled, so err is the core-count
+		// mismatch.
 		panic(err)
 	}
 	return res
@@ -268,31 +314,21 @@ func Run(tr *trace.Recorder, initial *memdata.Store, ann *approx.Annotations,
 // RunContext is Run with cooperative cancellation: the event loop polls ctx
 // every few thousand replayed accesses and returns (nil, ctx.Err()) when it
 // is cancelled. With a non-cancellable context the run is identical to Run.
+// A recording with a core count other than cfg.Cores is an error naming
+// both counts. cfg.Metrics, if set, receives what the run counted on every
+// return path, a cancelled run's partial counts included.
 func RunContext(ctx context.Context, tr *trace.Recorder, initial *memdata.Store, ann *approx.Annotations,
 	llcb func(st *memdata.Store, ann *approx.Annotations) core.LLC, cfg Config) (*Result, error) {
+	if len(tr.Cores) != cfg.Cores {
+		return nil, fmt.Errorf("timesim: recording has %d cores, configuration has %d", len(tr.Cores), cfg.Cores)
+	}
 
 	st := initial.Clone()
 	llc := llcb(st, ann)
 	hcfg := funcsim.Config{Cores: cfg.Cores, L1: l1Config(), L2: l2Config()}
 	h := funcsim.New(hcfg, llc, st, ann, nil)
-	h.AttachMetrics(cfg.Metrics)
 	h.AttachFaults(cfg.Faults)
 	h.AttachQuality(cfg.Quality)
-
-	// Core-model instruments; all remain nil (free no-ops) when metrics are
-	// disabled, and the occupancy observations are skipped outright.
-	var tm struct {
-		instructions        *metrics.Counter
-		robStall, mshrStall *metrics.Counter
-		robOcc, mshrOcc     *metrics.Histogram
-	}
-	if cfg.Metrics != nil {
-		tm.instructions = cfg.Metrics.Counter("timesim.instructions")
-		tm.robStall = cfg.Metrics.Counter("timesim.rob_stall_cycles")
-		tm.mshrStall = cfg.Metrics.Counter("timesim.mshr_stall_cycles")
-		tm.robOcc = cfg.Metrics.Histogram("timesim.rob_occupancy", []float64{4, 8, 16, 32, 48, 64, 80})
-		tm.mshrOcc = cfg.Metrics.Histogram("timesim.mshr_occupancy", []float64{1, 2, 4, 6, 8})
-	}
 	if cfg.Trace != nil {
 		if cfg.TraceLabel != "" {
 			cfg.Trace.ProcessName(cfg.TracePID, cfg.TraceLabel)
@@ -303,12 +339,8 @@ func RunContext(ctx context.Context, tr *trace.Recorder, initial *memdata.Store,
 	}
 
 	cores := make([]*coreState, cfg.Cores)
-	for c := 0; c < cfg.Cores; c++ {
-		var t trace.Trace
-		if c < len(tr.Cores) {
-			t = tr.Cores[c]
-		}
-		cores[c] = &coreState{t: t}
+	for c := range cores {
+		cores[c] = &coreState{t: tr.Cores[c]}
 	}
 
 	// Schedule cores by next issue time so shared-LLC state is touched in
@@ -325,6 +357,12 @@ func RunContext(ctx context.Context, tr *trace.Recorder, initial *memdata.Store,
 	var llcFree, memFree float64
 	var wbDrain []float64 // in-flight writeback completion times (sorted)
 	var instructions uint64
+	// occ is nil without a registry, which skips the occupancy count (and
+	// its scan of the ROB) outright.
+	var occ *occupancy
+	if cfg.Metrics != nil {
+		occ = &occupancy{}
+	}
 	var mem *dram.Memory
 	if cfg.DRAM != nil {
 		mem = dram.MustNew(*cfg.DRAM)
@@ -340,6 +378,7 @@ func RunContext(ctx context.Context, tr *trace.Recorder, initial *memdata.Store,
 			if iter&4095 == 0 {
 				select {
 				case <-ctxDone:
+					publish(cfg.Metrics, h, cores, instructions, occ)
 					return nil, ctx.Err()
 				default:
 				}
@@ -437,9 +476,8 @@ func RunContext(ctx context.Context, tr *trace.Recorder, initial *memdata.Store,
 			complete = cs.rob.at(cs.rob.n - 1).complete // in-order retire
 		}
 		cs.rob.push(robEntry{instr: cs.instr, complete: complete})
-		if tm.robOcc != nil {
-			tm.robOcc.Observe(float64(cs.rob.n))
-			tm.mshrOcc.Observe(float64(inflight(&cs.rob, t)))
+		if occ != nil {
+			occ.count(cs.rob.n, inflight(&cs.rob, t))
 		}
 		if complete > cs.finish {
 			cs.finish = complete
@@ -457,23 +495,12 @@ func RunContext(ctx context.Context, tr *trace.Recorder, initial *memdata.Store,
 		q.down(0)
 	}
 
-	if cfg.Metrics != nil {
-		tm.instructions.Add(instructions)
-		var rs, ms float64
-		for _, cs := range cores {
-			rs += cs.robStall
-			ms += cs.mshrStall
-		}
-		tm.robStall.Add(uint64(rs))
-		tm.mshrStall.Add(uint64(ms))
-	}
-
+	publish(cfg.Metrics, h, cores, instructions, occ)
 	res := &Result{
 		PerCoreCycles: make([]uint64, cfg.Cores),
 		Instructions:  instructions,
 		Totals:        h.Totals,
 		Hier:          h.Stats,
-		Metrics:       cfg.Metrics,
 	}
 	for c, cs := range cores {
 		end := cs.finish

@@ -2,7 +2,10 @@ package timesim
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -11,6 +14,7 @@ import (
 	"doppelganger/internal/cache"
 	"doppelganger/internal/core"
 	"doppelganger/internal/memdata"
+	"doppelganger/internal/metrics"
 	"doppelganger/internal/trace"
 )
 
@@ -236,5 +240,72 @@ func TestMPKIAndTraffic(t *testing.T) {
 	}
 	if mpki := res.MPKI(); mpki < 99 || mpki > 101 { // 100 misses / 1000 instr
 		t.Errorf("MPKI = %v", mpki)
+	}
+}
+
+// TestCoreCountMismatch: a recording is timed on exactly the cores it was
+// recorded with. Timing a 4-core recording on fewer cores would drop streams
+// and on more would run empty ones, so both are errors naming the two
+// counts, and nothing is published.
+func TestCoreCountMismatch(t *testing.T) {
+	rec := trace.NewRecorder(4)
+	for i := 0; i < 64; i++ {
+		rec.Access(i%4, memdata.Addr(0x1000+i*64), i%3 == 0, 4, uint64(i), false)
+	}
+	for _, cores := range []int{2, 8} {
+		cfg := DefaultConfig()
+		cfg.Cores = cores
+		cfg.Metrics = metrics.NewRegistry()
+		res, err := RunContext(context.Background(), rec, memdata.NewStore(), nil, baselineBuilder(8<<10), cfg)
+		if err == nil || res != nil {
+			t.Fatalf("cores %d: got result %v, err %v; want an error", cores, res, err)
+		}
+		for _, want := range []string{"recording has 4 cores", fmt.Sprintf("configuration has %d", cores)} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("cores %d: error %q does not say %q", cores, err, want)
+			}
+		}
+		if n := len(cfg.Metrics.Snapshot()); n != 0 {
+			t.Errorf("cores %d: a refused run published %d instruments", cores, n)
+		}
+	}
+	cfg := DefaultConfig()
+	cfg.Cores = 4
+	if _, err := RunContext(context.Background(), rec, memdata.NewStore(), nil, baselineBuilder(8<<10), cfg); err != nil {
+		t.Fatalf("matching core count: %v", err)
+	}
+}
+
+// TestCancelledRunPublishes: a cancelled run returns its context's error and
+// still publishes every instrument a completed run does, holding what it
+// counted before the cancellation.
+func TestCancelledRunPublishes(t *testing.T) {
+	rec := trace.NewRecorder(2)
+	for i := 0; i < 200; i++ {
+		rec.Access(i%2, memdata.Addr(0x1000+i*64), i%3 == 0, 4, uint64(i), false)
+	}
+	names := func(reg *metrics.Registry) string {
+		var b strings.Builder
+		for _, s := range reg.Snapshot() {
+			fmt.Fprintf(&b, "%s/%s ", s.Kind, s.Name)
+		}
+		return b.String()
+	}
+	cfg := DefaultConfig()
+	cfg.Cores = 2
+	cfg.Metrics = metrics.NewRegistry()
+	if _, err := RunContext(context.Background(), rec, memdata.NewStore(), nil, baselineBuilder(8<<10), cfg); err != nil {
+		t.Fatal(err)
+	}
+	done := cfg.Metrics
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cfg.Metrics = metrics.NewRegistry()
+	if _, err := RunContext(ctx, rec, memdata.NewStore(), nil, baselineBuilder(8<<10), cfg); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if got, want := names(cfg.Metrics), names(done); got != want {
+		t.Errorf("cancelled run published %q, completed run %q", got, want)
 	}
 }

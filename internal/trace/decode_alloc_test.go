@@ -132,7 +132,7 @@ func TestCaptureDecodeAllocations(t *testing.T) {
 
 	// The same bytes, one byte at a time, through the io.Reader entry point
 	// (which cannot know the size and grows its buffer).
-	if c2, err := ReadCapture(iotest.OneByteReader(bytes.NewReader(data))); err != nil {
+	if c2, err := readCaptureStream(iotest.OneByteReader(bytes.NewReader(data))); err != nil {
 		t.Fatal(err)
 	} else if !bytes.Equal(encodeCapture(t, c2), data) {
 		t.Fatal("byte-at-a-time decode differs from the file")
@@ -151,7 +151,7 @@ func TestCaptureDecodeAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := allocated(func() {
-			if _, err := ReadCapture(bytes.NewReader(b)); err == nil {
+			if _, err := readCaptureStream(bytes.NewReader(b)); err == nil {
 				t.Errorf("%s: accepted from memory", name)
 			}
 			if _, err := ReadCaptureFileFS(OS, hpath); err == nil || !IsQuarantineable(err) {
@@ -226,7 +226,7 @@ func BenchmarkCaptureDecode(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c, err := ReadCapture(bytes.NewReader(data))
+		c, err := readCaptureStream(bytes.NewReader(data))
 		if err != nil {
 			b.Fatal(err)
 		}

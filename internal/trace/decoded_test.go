@@ -19,7 +19,7 @@ func TestDecodedDigestFields(t *testing.T) {
 		t.Fatal("WriteTo left the file digest unset")
 	}
 
-	full, err := ReadCapture(bytes.NewReader(raw))
+	full, err := readCaptureStream(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -346,15 +346,6 @@ func readAll(r io.Reader, size int64) ([]byte, error) {
 	}
 }
 
-// sizeHint is the number of bytes r says it holds (bytes.Reader and the
-// like report it), or 0 when it cannot tell.
-func sizeHint(r io.Reader) int64 {
-	if l, ok := r.(interface{ Len() int }); ok {
-		return int64(l.Len())
-	}
-	return 0
-}
-
 // payload is a bounds-checked cursor over one section's bytes.
 type payload struct {
 	b   []byte
@@ -447,15 +438,11 @@ func (p *payload) done() error {
 	return nil
 }
 
-// ReadCapture decodes a capture stream written by WriteTo, verifying the
+// readCapture decodes a capture stream written by WriteTo, verifying the
 // per-section CRCs and the whole-file digest. Every failure names what was
-// wrong and where; no input makes it panic or allocate unboundedly.
-func ReadCapture(r io.Reader) (*Capture, error) {
-	return readCapture(r, sizeHint(r), false)
-}
-
-// readCapture checks the preamble, then reads the rest of the capture
-// (size bytes in all, if the hint is right) into one buffer and decodes it.
+// wrong and where; no input makes it panic or allocate unboundedly. It
+// checks the preamble, then reads the rest of the capture (size bytes in
+// all, if the hint is right) into one buffer and decodes it.
 func readCapture(r io.Reader, size int64, outputOnly bool) (*Capture, error) {
 	var pre [16]byte
 	if _, err := io.ReadFull(r, pre[:]); err != nil {
@@ -586,8 +573,8 @@ func ReadCaptureOutputFileFS(fsys FS, path string) (*Capture, error) {
 // sweep server folds into its content-addressed result keys, so a re-recorded
 // (changed) capture lands under a different result-cache key without the
 // server decoding megabytes of trace. It does NOT verify the digest matches
-// the body; consumers that replay the capture still go through ReadCapture's
-// full verification.
+// the body; consumers that replay the capture still go through the full
+// decode's verification.
 func FileDigest(path string) (uint64, error) {
 	return FileDigestFS(OS, path)
 }

@@ -56,6 +56,17 @@ func testCapture(t testing.TB) *Capture {
 	}
 }
 
+// readCaptureStream decodes a capture from an in-memory or streamed reader,
+// sized by the reader's Len when it has one (0 makes the decoder grow its
+// buffer, as for a file it cannot stat).
+func readCaptureStream(r io.Reader) (*Capture, error) {
+	var size int64
+	if l, ok := r.(interface{ Len() int }); ok {
+		size = int64(l.Len())
+	}
+	return readCapture(r, size, false)
+}
+
 func encodeCapture(t testing.TB, c *Capture) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -73,7 +84,7 @@ func storeBlocks(st *memdata.Store) map[memdata.Addr]memdata.Block {
 
 func TestCaptureRoundTrip(t *testing.T) {
 	c := testCapture(t)
-	got, err := ReadCapture(bytes.NewReader(encodeCapture(t, c)))
+	got, err := readCaptureStream(bytes.NewReader(encodeCapture(t, c)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +200,7 @@ func TestCaptureBytesDeterministic(t *testing.T) {
 		t.Fatal("two encodings of identical captures differ")
 	}
 	// And a decode→re-encode cycle reproduces the original bytes exactly.
-	c, err := ReadCapture(bytes.NewReader(a))
+	c, err := readCaptureStream(bytes.NewReader(a))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +237,7 @@ func TestCaptureRejections(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := ReadCapture(bytes.NewReader(tc.data))
+			_, err := readCaptureStream(bytes.NewReader(tc.data))
 			if err == nil {
 				t.Fatal("hostile input accepted")
 			}
@@ -249,7 +260,7 @@ func TestCaptureHostileLengths(t *testing.T) {
 	b.WriteByte(secHeader)
 	b.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0x07}) // uvarint ≈ 2^31-1
 	b.WriteString("lies")
-	if _, err := ReadCapture(bytes.NewReader(b.Bytes())); err == nil {
+	if _, err := readCaptureStream(bytes.NewReader(b.Bytes())); err == nil {
 		t.Fatal("2GB claimed length accepted")
 	}
 
@@ -260,7 +271,7 @@ func TestCaptureHostileLengths(t *testing.T) {
 	b.Write(make([]byte, 8))
 	b.WriteByte(secHeader)
 	b.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}) // uvarint 2^64-1
-	if _, err := ReadCapture(bytes.NewReader(b.Bytes())); err == nil {
+	if _, err := readCaptureStream(bytes.NewReader(b.Bytes())); err == nil {
 		t.Fatal("2^64 claimed length accepted")
 	}
 }
@@ -539,7 +550,7 @@ func TestCaptureSemanticRejections(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "hostile.dgt")
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := ReadCapture(bytes.NewReader(tc.data))
+			_, err := readCaptureStream(bytes.NewReader(tc.data))
 			if err == nil {
 				t.Fatal("semantically hostile input accepted")
 			}
@@ -558,7 +569,7 @@ func TestCaptureSemanticRejections(t *testing.T) {
 	}
 	// Sanity: the unmutated rebuild is accepted, so the rejections above
 	// come from the mutations and not from the test's framing.
-	if _, err := ReadCapture(bytes.NewReader(rebuild(good))); err != nil {
+	if _, err := readCaptureStream(bytes.NewReader(rebuild(good))); err != nil {
 		t.Fatalf("rebuild of unmutated sections rejected: %v", err)
 	}
 	// The encoder refuses to write a header whose core count the streams

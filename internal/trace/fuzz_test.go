@@ -55,7 +55,7 @@ func FuzzTraceRoundTrip(f *testing.F) {
 		if _, err := c.WriteTo(&buf); err != nil {
 			t.Fatalf("encode: %v", err)
 		}
-		got, err := ReadCapture(&buf)
+		got, err := readCaptureStream(&buf)
 		if err != nil {
 			t.Fatalf("decode of a freshly encoded capture: %v", err)
 		}
@@ -111,7 +111,7 @@ func FuzzTraceFileDecode(f *testing.F) {
 	f.Add([]byte("DGTC\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x01\xff"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		c, err := ReadCapture(bytes.NewReader(data))
+		c, err := readCaptureStream(bytes.NewReader(data))
 		if err != nil {
 			return // rejected input: fine, as long as it didn't panic
 		}
@@ -119,7 +119,7 @@ func FuzzTraceFileDecode(f *testing.F) {
 		if _, err := c.WriteTo(&buf); err != nil {
 			t.Fatalf("re-encode of accepted capture failed: %v", err)
 		}
-		c2, err := ReadCapture(bytes.NewReader(buf.Bytes()))
+		c2, err := readCaptureStream(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatalf("re-decode of re-encoded capture failed: %v", err)
 		}

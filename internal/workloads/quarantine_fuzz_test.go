@@ -72,21 +72,21 @@ func FuzzQuarantineExactlyOnce(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		c, outcome, err := LoadCaptureRecover(trace.OS, dir, path, wantKey, 2, false)
-		if outcome == LoadOK {
+		c, outcome, err := loadCaptureRecover(trace.OS, dir, path, wantKey, 2, false)
+		if outcome == loadOK {
 			// The fuzzer forged a valid capture carrying wantKey: a legitimate
 			// hit, nothing to quarantine. (Practically unreachable — the key
 			// appears in no seed — but not a property violation.)
 			if c == nil {
-				t.Fatal("LoadOK with a nil capture")
+				t.Fatal("loadOK with a nil capture")
 			}
 			return
 		}
-		if outcome != LoadQuarantined {
-			t.Fatalf("rejected bytes routed to %v (err %v), want LoadQuarantined", outcome, err)
+		if outcome != loadQuarantined {
+			t.Fatalf("rejected bytes routed to %v (err %v), want loadQuarantined", outcome, err)
 		}
 		if err == nil {
-			t.Fatal("LoadQuarantined with a nil error")
+			t.Fatal("loadQuarantined with a nil error")
 		}
 		if _, serr := os.Stat(path); !os.IsNotExist(serr) {
 			t.Error("condemned file still present after quarantine")
@@ -97,9 +97,9 @@ func FuzzQuarantineExactlyOnce(f *testing.F) {
 		// Second load: the slot is simply empty now — the caller re-records.
 		// A second quarantine here would be the re-record loop the design
 		// forbids.
-		c2, outcome2, err2 := LoadCaptureRecover(trace.OS, dir, path, wantKey, 2, false)
-		if c2 != nil || outcome2 != LoadMiss || err2 != nil {
-			t.Fatalf("second load = (%v, %v, %v), want (nil, LoadMiss, nil)", c2, outcome2, err2)
+		c2, outcome2, err2 := loadCaptureRecover(trace.OS, dir, path, wantKey, 2, false)
+		if c2 != nil || outcome2 != loadMiss || err2 != nil {
+			t.Fatalf("second load = (%v, %v, %v), want (nil, loadMiss, nil)", c2, outcome2, err2)
 		}
 		if n := countQuarantined(t, dir); n != 1 {
 			t.Errorf("second load changed the quarantine to %d files: not exactly-once", n)

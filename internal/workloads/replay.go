@@ -30,7 +30,7 @@ func CaptureIdent(cellKey string, scale float64, cores int, extra string) string
 // name is a 64-bit FNV-1a of the full identity, so any change to what a
 // capture depends on (scale, cores, seeds, organization) lands in a
 // different file; the identity itself is stored in the file header and
-// verified again by LoadCaptureRecover.
+// verified again when the capture gateway loads it.
 func CapturePath(dir, ident string) string {
 	h := fnv.New64a()
 	h.Write([]byte(ident))
@@ -52,36 +52,36 @@ func CaptureOf(run *RunResult, hdr trace.FileHeader) (*trace.Capture, error) {
 	}, nil
 }
 
-// LoadOutcome classifies what LoadCaptureRecover did, so callers can pick
+// loadOutcome classifies what loadCaptureRecover did, so callers can pick
 // the right recovery without re-deriving it from error chains.
-type LoadOutcome int
+type loadOutcome int
 
 const (
-	// LoadOK: the capture decoded, matched its identity, and is returned.
-	LoadOK LoadOutcome = iota
-	// LoadMiss: no capture exists at the path — the ordinary cold-cache
+	// loadOK: the capture decoded, matched its identity, and is returned.
+	loadOK loadOutcome = iota
+	// loadMiss: no capture exists at the path — the ordinary cold-cache
 	// case; record one.
-	LoadMiss
-	// LoadQuarantined: the file was corrupt or stale; it has been moved to
+	loadMiss
+	// loadQuarantined: the file was corrupt or stale; it has been moved to
 	// the quarantine and the path is now free to re-record.
-	LoadQuarantined
-	// LoadUnavailable: the I/O path failed (device error, permissions) —
+	loadQuarantined
+	// loadUnavailable: the I/O path failed (device error, permissions) —
 	// the file was left alone and the caller should fall back to live
 	// execution without persisting.
-	LoadUnavailable
+	loadUnavailable
 )
 
-// LoadCaptureRecover is the self-healing load: it reads the capture at
+// loadCaptureRecover is the self-healing load: it reads the capture at
 // path and verifies it was recorded under the identity and core count the
 // caller is about to consume it under. On failure it routes the file to the
 // right remedy — corrupt or stale captures (produced by a different
 // configuration, seed, or code revision) are quarantined under traceDir,
 // freeing the path for transparent re-recording; missing files report a
 // plain miss; I/O failures report the store unavailable. The returned error
-// explains any non-OK outcome; for LoadMiss it is nil. outputOnly loads
+// explains any non-OK outcome; for loadMiss it is nil. outputOnly loads
 // with the output-only decode: the file is still fully read and
 // integrity-checked, but its memory image and streams are not materialized.
-func LoadCaptureRecover(fsys trace.FS, traceDir, path, configKey string, cores int, outputOnly bool) (*trace.Capture, LoadOutcome, error) {
+func loadCaptureRecover(fsys trace.FS, traceDir, path, configKey string, cores int, outputOnly bool) (*trace.Capture, loadOutcome, error) {
 	read := trace.ReadCaptureFileFS
 	if outputOnly {
 		read = trace.ReadCaptureOutputFileFS
@@ -94,23 +94,23 @@ func LoadCaptureRecover(fsys trace.FS, traceDir, path, configKey string, cores i
 		case c.Header.Cores != cores:
 			err = fmt.Errorf("%s: %w: recorded with %d cores, wanted %d", path, trace.ErrStale, c.Header.Cores, cores)
 		default:
-			return c, LoadOK, nil
+			return c, loadOK, nil
 		}
 	}
 	if errors.Is(err, os.ErrNotExist) {
-		return nil, LoadMiss, nil
+		return nil, loadMiss, nil
 	}
 	if trace.IsQuarantineable(err) {
 		dest, qerr := trace.Quarantine(fsys, traceDir, path, err.Error())
 		if qerr != nil {
-			return nil, LoadUnavailable, fmt.Errorf("%w (quarantine failed: %v)", err, qerr)
+			return nil, loadUnavailable, fmt.Errorf("%w (quarantine failed: %v)", err, qerr)
 		}
 		if dest == "" {
 			dest = "(already quarantined by a racing process)"
 		}
-		return nil, LoadQuarantined, fmt.Errorf("%w (quarantined to %s)", err, dest)
+		return nil, loadQuarantined, fmt.Errorf("%w (quarantined to %s)", err, dest)
 	}
-	return nil, LoadUnavailable, err
+	return nil, loadUnavailable, err
 }
 
 // CaptureGateway is the road every functional run takes through a trace
@@ -198,27 +198,27 @@ func (g *CaptureGateway) Run(ctx context.Context, cell CaptureCell, b *Benchmark
 			}
 		}
 		if c == nil {
-			var outcome LoadOutcome
+			var outcome loadOutcome
 			var err error
-			c, outcome, err = LoadCaptureRecover(fsys, g.Dir, path, ident, cores, cell.OutputOnly)
-			if g.Replay && outcome != LoadOK {
+			c, outcome, err = loadCaptureRecover(fsys, g.Dir, path, ident, cores, cell.OutputOnly)
+			if g.Replay && outcome != loadOK {
 				if err == nil {
 					err = os.ErrNotExist
 				}
 				return nil, fmt.Errorf("workloads: -trace-replay: no usable capture for %s: %w", cell.Key, err)
 			}
 			switch outcome {
-			case LoadOK:
+			case loadOK:
 				g.logf("[%s] replaying capture %s (%s)", name, filepath.Base(path), cell.Key)
 				if decoded {
 					g.Decoded.Put(c.FileCRC, c)
 				}
-			case LoadMiss:
+			case loadMiss:
 				// Cold cache: record below.
-			case LoadQuarantined:
+			case loadQuarantined:
 				g.Metrics.Counter("trace.quarantines").Add(1)
 				g.logf("[%s] capture %s unusable (%v); re-recording", name, filepath.Base(path), err)
-			case LoadUnavailable:
+			case loadUnavailable:
 				// The bytes may be fine but the I/O path is not: leave the
 				// file alone, run live, and don't trust the store with a
 				// new write either.
@@ -299,12 +299,12 @@ func (g *CaptureGateway) LoadDecoded(ident string, cores int) *trace.Capture {
 	if c := g.decodedHit(fsys, path, ident, cores); c != nil {
 		return c
 	}
-	c, outcome, err := LoadCaptureRecover(fsys, g.Dir, path, ident, cores, false)
+	c, outcome, err := loadCaptureRecover(fsys, g.Dir, path, ident, cores, false)
 	switch outcome {
-	case LoadOK:
+	case loadOK:
 		g.Decoded.Put(c.FileCRC, c)
 		return c
-	case LoadQuarantined:
+	case loadQuarantined:
 		g.Metrics.Counter("trace.quarantines").Add(1)
 		g.logf("capture %s unusable (%v); quarantined for re-recording", filepath.Base(path), err)
 	}
@@ -339,7 +339,7 @@ func ReplayFunctionalContext(ctx context.Context, b *Benchmark, cap *trace.Captu
 	st := cap.InitialMem.Clone()
 	llc := llcb(st, ann)
 	h := funcsim.New(HierConfig(opt.Cores), llc, st, ann, nil)
-	h.AttachMetrics(opt.Metrics)
+	defer h.PublishMetrics(opt.Metrics)
 	h.AttachFaults(opt.Faults)
 	h.AttachQuality(opt.Quality)
 	h.SnapshotEvery = opt.SnapshotEvery

@@ -35,9 +35,9 @@ type RunOptions struct {
 	SnapshotEvery int  // LLC fills between snapshots (0: off)
 	SnapshotFn    func(llc core.LLC)
 
-	// Metrics, when non-nil, attaches the whole hierarchy (private caches,
-	// MSI tracker, LLC organization) to the registry for the duration of the
-	// run. nil keeps the zero-cost disabled path.
+	// Metrics, when non-nil, receives everything the hierarchy (private
+	// caches, MSI tracker, LLC organization) counted, published once when
+	// the run returns. nil publishes nothing.
 	Metrics *metrics.Registry
 
 	// Faults, when non-nil, injects faults into the LLC organization for the
@@ -103,7 +103,9 @@ func RunFunctionalContext(ctx context.Context, b *Benchmark, llcb LLCBuilder, op
 	}
 	llc := llcb(st, ann)
 	h := funcsim.New(HierConfig(opt.Cores), llc, st, ann, rec)
-	h.AttachMetrics(opt.Metrics)
+	// Deferred, so the registry gets what the run counted on every return
+	// path: after the final flush, or up to a cancellation.
+	defer h.PublishMetrics(opt.Metrics)
 	h.AttachFaults(opt.Faults)
 	h.AttachQuality(opt.Quality)
 	h.SnapshotEvery = opt.SnapshotEvery
