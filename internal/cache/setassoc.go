@@ -206,9 +206,10 @@ func (c *Cache) Victim(addr memdata.Addr) *Line {
 }
 
 // Install fills addr's block into l (which must come from Victim(addr)),
-// resetting metadata and promoting it to MRU. Eviction bookkeeping is the
-// caller's responsibility; Install records eviction stats if l was valid.
-func (c *Cache) Install(l *Line, addr memdata.Addr, data *memdata.Block) {
+// resetting metadata and promoting it to MRU, and returns l, the frame now
+// holding the block. Eviction bookkeeping is the caller's responsibility;
+// Install records eviction stats if l was valid.
+func (c *Cache) Install(l *Line, addr memdata.Addr, data *memdata.Block) *Line {
 	if l.Valid {
 		c.Stats.Evictions++
 		if l.Dirty {
@@ -224,6 +225,7 @@ func (c *Cache) Install(l *Line, addr memdata.Addr, data *memdata.Block) {
 		l.Data = *data
 	}
 	c.touch(l)
+	return l
 }
 
 // Invalidate drops addr's block if present, returning the stale line value

@@ -49,10 +49,6 @@ type Effects struct {
 	MemReads, MemWrites int
 }
 
-// Add accumulates o into e; the simulators use it to aggregate per-access
-// effects into run totals for the energy model.
-func (e *Effects) Add(o *Effects) { e.add(o) }
-
 // reset clears e for reuse as an organization's scratch effects, keeping the
 // Evicted backing array so steady-state operations allocate nothing.
 func (e *Effects) reset() {
@@ -60,10 +56,11 @@ func (e *Effects) reset() {
 	*e = Effects{Evicted: ev}
 }
 
-// add accumulates o into e (used by the split organization to merge the
-// effects of routing plus the chosen side).
-func (e *Effects) add(o *Effects) {
-	e.Evicted = append(e.Evicted, o.Evicted...)
+// Add accumulates o's event counts into e. It leaves e.Evicted alone: the
+// hierarchy propagates each operation's evictions as they happen, and run
+// totals (its only use) would otherwise keep one entry per LLC eviction for
+// the whole run.
+func (e *Effects) Add(o *Effects) {
 	e.PTagReads += o.PTagReads
 	e.PTagWrites += o.PTagWrites
 	e.PDataReads += o.PDataReads

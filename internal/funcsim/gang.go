@@ -11,48 +11,69 @@ import (
 	"doppelganger/internal/memdata"
 )
 
-// The gang serializes memory accesses in a fixed rotation. Each kernel runs
-// as a coroutine (iter.Pull), and the goroutine that called Run is the
-// driver: it resumes whichever core the last turn holder passed the turn to.
-// A running coroutine therefore always holds the turn, and a handoff is two
-// direct coroutine switches (core -> driver -> next core) that never touch
-// the scheduler's run queue; a phase where a single core is the only
-// runnable one switches not at all. The rotation is a fixed round-robin:
-// barrier groups are released exactly at rotation boundaries, and a finished
-// or crashed core retires at its own rotation slot, so the interleaving, and
-// therefore every simulated result, is deterministic.
+// The gang serializes memory accesses in a fixed rotation. Core 0's kernel
+// runs on the goroutine that called Run, the driver, and every other kernel
+// runs as a coroutine (iter.Pull). When core 0 passes the turn, the driver
+// resumes whichever core the last turn holder passed it to, one turn at a
+// time, and returns to core 0's kernel when the turn comes round to it
+// again. A running kernel therefore always holds the turn. A rotation of N
+// live cores costs 2(N-1) coroutine switches (driver -> core -> driver for
+// every core but 0), the floor for iter.Pull's asymmetric coroutines, and
+// never touches the scheduler's run queue; a phase where a single core is
+// the only runnable one switches not at all. Once core 0 retires, the
+// driver resumes the remaining cores in a plain loop. The rotation is a
+// fixed round-robin: barrier groups are released exactly at rotation
+// boundaries, and a finished or crashed core retires at its own rotation
+// slot, so the interleaving, and therefore every simulated result, is
+// deterministic.
 //
-// Only one coroutine or the driver runs at a time, and every switch orders
-// memory, so the rotation bookkeeping needs no lock.
+// Every turn is counted, and the run's context is polled every 4096 turns,
+// as the timing simulator's event loop polls it, so a cancelled run stops
+// within 4096 turns.
+//
+// Only one kernel runs at a time, and every switch orders memory, so the
+// rotation bookkeeping needs no lock.
 type gang struct {
-	ctxs      []*CoreCtx
+	ctxs []*CoreCtx
+	// resume[i] runs core i's coroutine until it passes the turn or its
+	// kernel exits (nil for core 0, whose kernel runs on the driver).
+	resume    []func() (struct{}, bool)
 	doneFlags []bool
 	atBarrier []bool
 	live      int
-	cur       int // core holding the turn
+	// waiting counts the cores at a barrier. A core waits only inside its
+	// Barrier call, so it never retires while counted, and releases are
+	// the only decrements.
+	waiting int
+	cur     int  // core holding the turn
+	turns   uint // turns taken, for the cancellation poll
 	// Scratch for releaseReadyGroups, indexed by barrier group.
 	liveInGroup []int
 	waitInGroup []int
 	// done is the run's cancellation signal (nil for a context that is never
-	// cancelled); err is the first kernel panic.
-	done <-chan struct{}
-	err  error
+	// cancelled) and stopped records that a poll saw it fire; err is the
+	// first kernel panic.
+	done    <-chan struct{}
+	stopped bool
+	err     error
 }
 
 // nextRunnable returns the index of the core the turn should go to after
 // from's turn: the next live, non-waiting core in rotation order. Crossing
 // the end of the core list is the rotation boundary, where barrier groups
-// whose live cores are all waiting get released. While any core is
-// live there is a runnable one after the boundary: if every live core
-// waits, every group's waiting count equals its live count and the whole
-// gang is released.
+// whose live cores are all waiting get released; the scan runs only while
+// some core waits. While any core is live there is a runnable one after
+// the boundary: if every live core waits, every group's waiting count
+// equals its live count and the whole gang is released.
 func (g *gang) nextRunnable(from int) int {
 	for i := from + 1; i < len(g.ctxs); i++ {
 		if !g.doneFlags[i] && !g.atBarrier[i] {
 			return i
 		}
 	}
-	g.releaseReadyGroups()
+	if g.waiting > 0 {
+		g.releaseReadyGroups()
+	}
 	for i := 0; i < len(g.ctxs); i++ {
 		if !g.doneFlags[i] && !g.atBarrier[i] {
 			return i
@@ -82,34 +103,54 @@ func (g *gang) releaseReadyGroups() {
 			continue
 		}
 		for i, c := range g.ctxs {
-			if c.group == grp {
+			if c.group == grp && g.atBarrier[i] {
 				g.atBarrier[i] = false
+				g.waiting--
 			}
 		}
 	}
 }
 
-// canceled polls the run's context; a nil done channel never fires.
+// canceled counts one turn and reports whether the run is cancelled,
+// polling the context every 4096 turns (a nil done channel never fires).
+// Once a poll has seen the cancellation it is reported on every later turn.
 func (g *gang) canceled() bool {
-	select {
-	case <-g.done:
-		return true
-	default:
-		return false
+	g.turns++
+	if g.turns&4095 == 0 {
+		select {
+		case <-g.done:
+			g.stopped = true
+		default:
+		}
 	}
+	return g.stopped
+}
+
+// drive runs on the driver goroutine: it resumes the core holding the turn,
+// one turn at a time, until the turn comes back to core 0 or no core is
+// live. It reports false when a resumed core saw the run cancelled; that
+// core's kernel has already unwound. A coroutine that ends otherwise has
+// retired and passed the turn on.
+func (g *gang) drive() bool {
+	for g.cur != 0 && g.live > 0 {
+		if _, ok := g.resume[g.cur](); !ok && g.stopped {
+			return false
+		}
+	}
+	return true
 }
 
 // CoreCtx is the per-core handle a workload kernel uses to touch memory.
-// Kernels run as coroutines that take turns in deterministic round-robin
-// order, one memory access per turn, so functional results (and therefore
-// application error) are reproducible run-to-run.
+// Kernels take turns in deterministic round-robin order, one memory access
+// per turn, so functional results (and therefore application error) are
+// reproducible run-to-run.
 type CoreCtx struct {
 	id    int
 	group int // barrier group (program id in multiprogrammed runs)
 	h     *Hierarchy
 	g     *gang
 	// yield suspends this core's coroutine until the driver resumes it; it
-	// reports false once the run is cancelled.
+	// reports false once the run is cancelled. Core 0 has none.
 	yield func(struct{}) bool
 }
 
@@ -123,27 +164,35 @@ func (c *CoreCtx) Core() int { return c.id }
 
 // pass ends this core's turn and hands the turn to the next runnable core,
 // returning when this core's next turn begins. When this core is itself the
-// next runnable one it simply keeps the turn (polling cancellation, so a
-// lone cancellable kernel still unwinds between accesses).
+// next runnable one it simply keeps the turn. Core 0 runs the other cores'
+// turns itself (drive); any other core yields to the driver. Every turn
+// counts toward the cancellation poll, so a lone cancellable kernel still
+// unwinds.
 func (c *CoreCtx) pass() {
 	g := c.g
+	if g.canceled() {
+		panic(runCanceled{})
+	}
 	next := g.nextRunnable(c.id)
 	if next == c.id {
-		if g.canceled() {
+		return
+	}
+	g.cur = next
+	if c.id == 0 {
+		if !g.drive() {
 			panic(runCanceled{})
 		}
 		return
 	}
-	g.cur = next
 	if !c.yield(struct{}{}) {
 		panic(runCanceled{})
 	}
 }
 
-// run executes the kernel on this core's coroutine and retires the core at
-// the slot where the kernel returned or crashed. A crash is captured here,
-// inside the coroutine, where the kernel's stack is still on hand. A
-// cancelled kernel does not retire: the driver is already abandoning the run.
+// run executes the kernel (on the driver for core 0, on the core's coroutine
+// otherwise) and retires the core at the slot where the kernel returned or
+// crashed. A crash is captured here, where the kernel's stack is still on
+// hand. A cancelled kernel does not retire: the run is being abandoned.
 func (c *CoreCtx) run(kernel func(*CoreCtx)) {
 	g := c.g
 	defer func() {
@@ -178,6 +227,7 @@ func (c *CoreCtx) Work(n int) {
 // participate; in multiprogrammed runs each program is its own group.
 func (c *CoreCtx) Barrier() {
 	c.g.atBarrier[c.id] = true
+	c.g.waiting++
 	c.pass() // a waiting core is not runnable, so this returns on release
 }
 
@@ -256,18 +306,23 @@ func RunGrouped(h *Hierarchy, kernels []func(*CoreCtx), groups []int) {
 }
 
 // RunGroupedContext is RunGrouped with cooperative cancellation and panic
-// containment. The driver polls ctx between turns; when it is cancelled,
-// every kernel unwinds from the turn it is suspended in, and ctx.Err() is
-// returned once all of them have exited; the simulation state is then
-// abandoned mid-flight (callers discard it). A kernel that panics is
-// captured on its own coroutine and returned as an error carrying the stack
-// — the crash fails this run, never the process; the remaining kernels
-// complete normally (a crashed core counts as finished, so its barrier group
-// is not stranded).
+// containment. Core 0's kernel runs on the calling goroutine and the others
+// on coroutines it resumes (see gang). ctx is checked on entry, so an
+// already cancelled run executes no kernel code, and then polled every
+// 4096 turns; when it is cancelled, every kernel unwinds from the turn it
+// is suspended in, and ctx.Err() is returned once all of them have exited;
+// the simulation state is then abandoned mid-flight (callers discard it). A
+// kernel that panics is captured with its stack and returned as an error —
+// the crash fails this run, never the process; the remaining kernels
+// complete normally (a crashed core counts as finished, so its barrier
+// group is not stranded).
 func RunGroupedContext(ctx context.Context, h *Hierarchy, kernels []func(*CoreCtx), groups []int) error {
 	n := len(kernels)
 	if n == 0 {
 		return nil
+	}
+	if err := ctx.Err(); err != nil {
+		return err
 	}
 	maxGroup := 0
 	for _, grp := range groups {
@@ -275,6 +330,7 @@ func RunGroupedContext(ctx context.Context, h *Hierarchy, kernels []func(*CoreCt
 	}
 	g := &gang{
 		ctxs:        make([]*CoreCtx, n),
+		resume:      make([]func() (struct{}, bool), n),
 		doneFlags:   make([]bool, n),
 		atBarrier:   make([]bool, n),
 		live:        n,
@@ -282,12 +338,11 @@ func RunGroupedContext(ctx context.Context, h *Hierarchy, kernels []func(*CoreCt
 		waitInGroup: make([]int, maxGroup+1),
 		done:        ctx.Done(),
 	}
-	resume := make([]func() (struct{}, bool), n)
 	stop := make([]func(), n)
 	// Stopping a suspended coroutine makes its yield report false, so its
 	// kernel unwinds; stopping a finished or unstarted one is a no-op.
 	defer func() {
-		for _, s := range stop {
+		for _, s := range stop[1:] {
 			s()
 		}
 	}()
@@ -297,17 +352,18 @@ func RunGroupedContext(ctx context.Context, h *Hierarchy, kernels []func(*CoreCt
 			c.group = groups[i]
 		}
 		g.ctxs[i] = c
-		resume[i], stop[i] = iter.Pull(func(yield func(struct{}) bool) {
-			c.yield = yield
-			c.run(kernel)
-		})
-	}
-	// Core 0 takes the first turn.
-	for g.live > 0 {
-		if g.canceled() {
-			return ctx.Err()
+		if i > 0 {
+			g.resume[i], stop[i] = iter.Pull(func(yield func(struct{}) bool) {
+				c.yield = yield
+				c.run(kernel)
+			})
 		}
-		resume[g.cur]()
+	}
+	// Core 0 takes the first turn, on this goroutine; once it has retired,
+	// the remaining cores take theirs in drive's plain loop.
+	g.ctxs[0].run(kernels[0])
+	if g.stopped || !g.drive() {
+		return ctx.Err()
 	}
 	return g.err
 }

@@ -69,7 +69,11 @@ func BenchmarkGangAccess(b *testing.B) {
 
 // TestGangTurnZeroAllocs guards the handoff: once the gang is running, a
 // full rotation of turns (one L1-hit load on each of four cores) allocates
-// nothing, under a background and under a cancellable context.
+// nothing, under a background and under a cancellable context. The rotation
+// is measured from three places: core 0's turn, a rotation that starts and
+// ends on core 0 while the driver resumes cores 1-3 for it; core 1's turn
+// while core 0 runs; and core 1's turn after core 0 has retired, when the
+// driver's plain loop resumes the other cores.
 func TestGangTurnZeroAllocs(t *testing.T) {
 	const warm, runs = 64, 200
 	cancellable, cancel := context.WithCancel(context.Background())
@@ -78,22 +82,32 @@ func TestGangTurnZeroAllocs(t *testing.T) {
 		name string
 		ctx  context.Context
 	}{{"background", context.Background()}, {"cancellable", cancellable}} {
-		h, _ := testHierarchy(gangBenchCores, nil)
-		// Cores 1-3 keep loading for longer than core 0 measures, so every
-		// measured turn of core 0 spans a full four-core rotation.
-		kernels := hitKernels(gangBenchCores * (warm + runs + 8))
-		var allocs float64
-		kernels[0] = func(c *CoreCtx) {
-			for i := 0; i < warm; i++ {
-				c.LoadI32(hitAddr(0, i))
+		for _, m := range []struct {
+			name         string
+			core         int
+			core0Retires bool
+		}{{"core 0", 0, false}, {"core 1", 1, false}, {"core 1 after core 0 retires", 1, true}} {
+			h, _ := testHierarchy(gangBenchCores, nil)
+			// The other cores keep loading for longer than the measuring core
+			// measures, so every measured turn spans a full rotation of the
+			// cores still live.
+			kernels := hitKernels(gangBenchCores * (warm + runs + 8))
+			if m.core0Retires {
+				kernels[0] = func(c *CoreCtx) { c.LoadI32(hitAddr(0, 0)) }
 			}
-			allocs = testing.AllocsPerRun(runs, func() { c.LoadI32(hitAddr(0, 0)) })
-		}
-		if err := RunGroupedContext(tc.ctx, h, kernels, nil); err != nil {
-			t.Fatal(err)
-		}
-		if allocs != 0 {
-			t.Errorf("%s: a rotation of turns allocates %.1f, want 0", tc.name, allocs)
+			var allocs float64
+			kernels[m.core] = func(c *CoreCtx) {
+				for i := 0; i < warm; i++ {
+					c.LoadI32(hitAddr(c.Core(), i))
+				}
+				allocs = testing.AllocsPerRun(runs, func() { c.LoadI32(hitAddr(c.Core(), 0)) })
+			}
+			if err := RunGroupedContext(tc.ctx, h, kernels, nil); err != nil {
+				t.Fatal(err)
+			}
+			if allocs != 0 {
+				t.Errorf("%s, %s: a rotation of turns allocates %.1f, want 0", tc.name, m.name, allocs)
+			}
 		}
 	}
 }

@@ -66,8 +66,9 @@ type Hierarchy struct {
 
 	Stats Stats
 
-	// Totals accumulates the structure-level effects of every LLC operation
-	// performed during the run; the energy model consumes it.
+	// Totals accumulates the structure-level event counts of every LLC
+	// operation performed during the run (its Evicted stays empty); the
+	// energy model consumes it.
 	Totals core.Effects
 
 	// Last describes the most recent access for the timing model.
@@ -426,20 +427,21 @@ func (h *Hierarchy) applyEffects(eff *core.Effects) {
 // fillL1 installs data into core c's L1, handling the dirty victim (which
 // is guaranteed to also be in L2 by inclusion).
 func (h *Hierarchy) fillL1(c int, ba memdata.Addr, data *memdata.Block, st coherence.State) *cache.Line {
-	d := *data // copy: victim handling below may clobber the source line
-	data = &d
 	v := h.l1[c].Victim(ba)
 	if v.Valid && v.Dirty {
 		if l2 := h.l2[c].Probe(v.Addr); l2 != nil {
 			l2.Data = v.Data
 			l2.Dirty = true
 		} else {
-			// Inclusion corner: L2 already lost it; push to LLC.
+			// Inclusion corner: L2 already lost it; push to LLC. The LLC
+			// evictions that writeback causes may back-invalidate the
+			// source line, so fill from a copy.
+			d := *data
+			data = &d
 			h.writebackToLLC(v.Addr, &v.Data)
 		}
 	}
-	h.l1[c].Install(v, ba, data)
-	l := h.l1[c].Probe(ba)
+	l := h.l1[c].Install(v, ba, data)
 	l.Coh = st
 	return l
 }
@@ -468,8 +470,7 @@ func (h *Hierarchy) fillL2(c int, ba memdata.Addr, data *memdata.Block, st coher
 			h.writebackToLLC(victimAddr, &h.wbScratch)
 		}
 	}
-	h.l2[c].Install(v, ba, data)
-	l := h.l2[c].Probe(ba)
+	l := h.l2[c].Install(v, ba, data)
 	l.Coh = st
 	return l
 }

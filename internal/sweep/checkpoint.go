@@ -50,8 +50,7 @@ type Checkpoint struct {
 }
 
 // TimingSummary is the subset of a timesim.Result the experiment tables and
-// the energy model consume; Evicted per-access lists are dropped (nothing
-// downstream of the runner reads them).
+// the energy model consume.
 type TimingSummary struct {
 	Cycles        uint64
 	PerCoreCycles []uint64
@@ -67,13 +66,11 @@ func Summarize(res *timesim.Result) *TimingSummary { return summarize(res) }
 
 // summarize reduces a timing result to its persisted form.
 func summarize(res *timesim.Result) *TimingSummary {
-	totals := res.Totals
-	totals.Evicted = nil
 	return &TimingSummary{
 		Cycles:        res.Cycles,
 		PerCoreCycles: res.PerCoreCycles,
 		Instructions:  res.Instructions,
-		Totals:        totals,
+		Totals:        res.Totals,
 		Hier:          res.Hier,
 	}
 }

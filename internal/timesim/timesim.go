@@ -123,6 +123,11 @@ type coreState struct {
 	// rob holds in-flight memory ops as (instruction index, completion
 	// cycle) with monotone completion (in-order retirement).
 	rob robRing
+	// completed counts the ROB's oldest entries already complete at this
+	// core's latest issue time: the ops no longer holding an MSHR. Issue
+	// times only grow and completions are monotone, so the count carries
+	// from one event to the next. It is kept only with a registry.
+	completed int
 
 	// Stall accounting: cycles the next op's issue was pushed back waiting
 	// for ROB retirement / a free MSHR. Published at run end.
@@ -182,6 +187,9 @@ func (cs *coreState) ready(cfg *Config) float64 {
 			t = c
 		}
 		cs.rob.popFront()
+		if cs.completed > 0 {
+			cs.completed--
+		}
 	}
 	cs.robStall += t - base
 	// MSHRs: at most MSHRs memory ops in flight. Completions are monotone,
@@ -193,18 +201,6 @@ func (cs *coreState) ready(cfg *Config) float64 {
 	}
 	cs.mshrStall += t - base
 	return t
-}
-
-func inflight(rob *robRing, t float64) int {
-	n := 0
-	for i := rob.n - 1; i >= 0; i-- {
-		if rob.at(i).complete > t {
-			n++
-		} else {
-			break // completions are monotone
-		}
-	}
-	return n
 }
 
 // coreQueue is a binary min-heap of cores by next-issue time: the sift of
@@ -357,8 +353,8 @@ func RunContext(ctx context.Context, tr *trace.Recorder, initial *memdata.Store,
 	var llcFree, memFree float64
 	var wbDrain []float64 // in-flight writeback completion times (sorted)
 	var instructions uint64
-	// occ is nil without a registry, which skips the occupancy count (and
-	// its scan of the ROB) outright.
+	// occ is nil without a registry, which skips the occupancy count
+	// outright.
 	var occ *occupancy
 	if cfg.Metrics != nil {
 		occ = &occupancy{}
@@ -477,7 +473,10 @@ func RunContext(ctx context.Context, tr *trace.Recorder, initial *memdata.Store,
 		}
 		cs.rob.push(robEntry{instr: cs.instr, complete: complete})
 		if occ != nil {
-			occ.count(cs.rob.n, inflight(&cs.rob, t))
+			for cs.completed < cs.rob.n && cs.rob.at(cs.completed).complete <= t {
+				cs.completed++
+			}
+			occ.count(cs.rob.n, cs.rob.n-cs.completed)
 		}
 		if complete > cs.finish {
 			cs.finish = complete

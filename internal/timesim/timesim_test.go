@@ -167,7 +167,9 @@ func TestStoresApplyValues(t *testing.T) {
 // TestResultDoesNotPinLLC: the sweep memoizes every timing result for the
 // life of a regeneration, so a result must not keep its run's LLC
 // organization (tag and data arrays, and through them the cloned memory
-// image) reachable once RunContext has returned.
+// image) reachable once RunContext has returned, nor a list of the run's
+// LLC evictions in its totals. The run touches more blocks than the LLC
+// holds, so it evicts.
 func TestResultDoesNotPinLLC(t *testing.T) {
 	rec := trace.NewRecorder(2)
 	for i := 0; i < 200; i++ {
@@ -184,6 +186,10 @@ func TestResultDoesNotPinLLC(t *testing.T) {
 		}, cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if res.Hier.BackInvals == 0 || len(res.Totals.Evicted) != 0 {
+		t.Errorf("%d LLC evictions, %d of them listed in the result's totals; want some, none listed",
+			res.Hier.BackInvals, len(res.Totals.Evicted))
 	}
 	for deadline := time.Now().Add(5 * time.Second); !collected.Load(); {
 		if time.Now().After(deadline) {
