@@ -23,20 +23,15 @@
 # chaos exactly-once/bit-identical proof, the decoded-cache stats and digest
 # routing, the trace-cache leak tests, and the sweepd drain/resume end to
 # end — and is folded into `race`.
-# `loadtest` boots a real sweepd, drives it with cmd/loadgen (10k concurrent
-# submissions by default) and regenerates BENCH_8.json.
 # `fuzz-smoke` gives each fuzz target a short budget (Go allows one -fuzz
 # pattern per package invocation, hence one line per target).
-# `bench` runs the paper-table Evaluation benchmarks plus the trace-cache
-# sweeps with -benchmem and converts the output into BENCH_10.json via
-# cmd/benchjson, joining the committed baseline (bench_baseline_10.txt,
-# regenerated by `bench-baseline` with DOPPEL_BENCH_LIVE=1 so the FuncSweep
-# rows' speedups are warm-replay versus live kernel execution; the
-# FuncSweepDecodedCache row replays through the shared decoded-capture cache).
 # `bench-smoke` runs one iteration of each Evaluation benchmark, plus the
-# per-layer DGTC decode (MB/s, B/op), timesim (ns per replayed access) and
-# gang handoff (ns per functional access) microbenchmarks, as a cheap
-# liveness check and is folded into `race`.
+# per-layer set probe (ns per cache lookup), DGTC decode (MB/s, B/op),
+# timesim (ns per replayed access) and gang handoff (ns per functional
+# access) microbenchmarks, as a cheap liveness check and is folded into
+# `race`. Timing end to end and per layer is perfbench's job:
+# `bash perfbench/run.sh --workload regen-cold|serve-warm ...` (see
+# perfbench/README.md).
 # `cover` reports per-package statement coverage and enforces the
 # internal/trace floor (the decoder is security-sensitive: 85%) and the
 # internal/server floor (the robustness layer: 80%).
@@ -46,13 +41,9 @@
 
 GO      ?= go
 FUZZTIME ?= 30s
-BENCHTIME ?= 2x
-BENCHCOUNT ?= 1
-LOADN ?= 10000
-LOADC ?= 512
-EVAL_BENCH = Table2$$|Fig2$$|Fig7$$|Fig8$$|Fig9$$|Fig10$$|Fig11$$|Fig12$$|Fig13$$|Fig14$$|Table3$$|FuncSweep$$|FuncSweepDecodedCache$$
+EVAL_BENCH = Table2$$|Fig2$$|Fig7$$|Fig8$$|Fig9$$|Fig10$$|Fig11$$|Fig12$$|Fig13$$|Fig14$$|Table3$$
 
-.PHONY: build test race faults-smoke quality-smoke trace-smoke chaos-smoke server-smoke test-interrupt fuzz-smoke bench bench-baseline bench-smoke loadtest cover vet audit
+.PHONY: build test race faults-smoke quality-smoke trace-smoke chaos-smoke server-smoke test-interrupt fuzz-smoke bench-smoke cover vet audit
 
 build:
 	$(GO) build ./...
@@ -64,15 +55,9 @@ race: faults-smoke quality-smoke trace-smoke chaos-smoke server-smoke test-inter
 	$(GO) test -race -timeout 20m ./...
 	$(GO) test -race -timeout 30m -cpu 1,4 ./internal/sweep/... ./internal/workloads/... ./internal/timesim/...
 
-bench:
-	$(GO) test -run xxx -bench '$(EVAL_BENCH)' -benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) . | tee bench_current_10.txt
-	$(GO) run ./cmd/benchjson -baseline bench_baseline_10.txt -benchtime $(BENCHTIME) -count $(BENCHCOUNT) -note "make bench" -o BENCH_10.json bench_current_10.txt
-
-bench-baseline:
-	DOPPEL_BENCH_LIVE=1 $(GO) test -run xxx -bench '$(EVAL_BENCH)' -benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) . | tee bench_baseline_10.txt
-
 bench-smoke:
 	$(GO) test -run xxx -bench '$(EVAL_BENCH)' -benchtime 1x .
+	$(GO) test -run xxx -bench 'CacheLookup$$' -benchmem -benchtime 1x ./internal/cache
 	$(GO) test -run xxx -bench 'CaptureDecode$$' -benchmem -benchtime 1x ./internal/trace
 	$(GO) test -run xxx -bench 'TimesimRun$$' -benchmem -benchtime 1x ./internal/timesim
 	$(GO) test -run xxx -bench 'GangAccess$$' -benchmem -benchtime 1x ./internal/funcsim
@@ -89,14 +74,6 @@ server-smoke:
 	$(GO) test -race -run 'TestSubmitMemoizesAndMatchesSerial|TestKillShardFailsOver|TestBreakerQuarantinesShard|TestChaosExactlyOnceBitIdentical|TestDrainSnapshotsPending|TestHTTPEndpoints|TestServerDecodedCacheAndDigestRouting' ./internal/server/
 	$(GO) test -race -run 'TestTraceCacheConcurrentCancelNoLeak|TestTraceCacheForgottenErrorUnderConcurrency' ./internal/sweep/
 	$(GO) test -run 'TestDrainResumeByteIdentical' ./cmd/sweepd/
-
-loadtest:
-	$(GO) build -o /tmp/doppel-sweepd ./cmd/sweepd
-	$(GO) build -o /tmp/doppel-loadgen ./cmd/loadgen
-	/tmp/doppel-sweepd -addr 127.0.0.1:8741 -scale 0.02 -only kmeans,inversek2j -shards 4 -shard-workers 2 -quiet & \
-	pid=$$!; sleep 1; \
-	/tmp/doppel-loadgen -addr 127.0.0.1:8741 -n $(LOADN) -c $(LOADC) -o BENCH_8.json; status=$$?; \
-	kill -TERM $$pid; wait $$pid; exit $$status
 
 trace-smoke:
 	$(GO) test -race -cpu 1,4 -run 'TestTraceSmoke|TestTraceReplayRequiresCapture|TestTracePersistFailureDegradesLive|TestDecodedCacheHoldsOnlyBaselines' ./internal/sweep/
@@ -121,6 +98,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzTraceFileDecode$$ -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -fuzz=FuzzQuarantineExactlyOnce$$ -fuzztime=$(FUZZTIME) ./internal/workloads
 	$(GO) test -fuzz=FuzzCheckpointParse$$ -fuzztime=$(FUZZTIME) ./internal/sweep
+	$(GO) test -fuzz=FuzzSubmitBody$$ -fuzztime=$(FUZZTIME) ./internal/server
 
 cover:
 	$(GO) test -cover ./... | tee cover.out

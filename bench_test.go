@@ -8,15 +8,12 @@ package doppelganger
 
 import (
 	"math/rand"
-	"os"
 	"testing"
 
 	"doppelganger/internal/approx"
 	"doppelganger/internal/bdi"
 	"doppelganger/internal/core"
 	"doppelganger/internal/memdata"
-	"doppelganger/internal/sweep"
-	"doppelganger/internal/trace"
 )
 
 // benchScale keeps the per-iteration experiment runs tractable.
@@ -115,95 +112,6 @@ func BenchmarkGridParallel(b *testing.B) {
 		if err := ev.Prewarm(false); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkFuncSweep measures the functional error sweep the persistent
-// trace cache accelerates: for every benchmark, the precise baseline plus
-// the paper's split (Figs. 9–12) and uniDoppelgänger (Fig. 14) error cells.
-// By default each iteration replays from a trace directory pre-populated
-// outside the timer; with DOPPEL_BENCH_LIVE=1 every iteration executes the
-// kernels live instead. bench_baseline_6.txt is committed from the live
-// mode (`make bench-baseline`), so the speedup BENCH_6.json reports for
-// this benchmark is the warm-replay-versus-live ratio — the trace
-// substrate's acceptance number (≥3×).
-func BenchmarkFuncSweep(b *testing.B) {
-	dir := b.TempDir()
-	if os.Getenv("DOPPEL_BENCH_LIVE") != "" {
-		dir = "" // no trace cache: every cell runs its kernels
-	}
-	sweepOnce := func() {
-		r := sweep.NewRunner(benchScale)
-		r.TraceDir = dir
-		for _, name := range r.Benchmarks() {
-			for _, m := range sweep.MapSpaces {
-				if _, err := r.SplitError(name, m, sweep.BaseDataFrac); err != nil {
-					b.Fatal(err)
-				}
-			}
-			for _, frac := range sweep.DataFracs {
-				if _, err := r.SplitError(name, sweep.BaseMapBits, frac); err != nil {
-					b.Fatal(err)
-				}
-			}
-			for _, frac := range sweep.UniFracs {
-				if _, err := r.UnifiedError(name, sweep.BaseMapBits, frac); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	}
-	sweepOnce() // populate the trace directory outside the timer
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sweepOnce()
-	}
-}
-
-// BenchmarkFuncSweepDecodedCache is BenchmarkFuncSweep through the decoded-capture
-// cache — the sweepd deployment, where one long-lived in-memory cache
-// outlives every sweep over the trace directory. Each baseline capture is
-// read and decoded once for the cache's lifetime instead of once per sweep,
-// and baseline outputs are scored straight from their decoded captures, so
-// a warm sweep rebuilds no hierarchy at all. The error cells' own captures
-// stay out of the cache: each sweep reads and verifies them with the
-// output-only decode. With DOPPEL_BENCH_LIVE=1 the cache has nothing to
-// serve and every cell executes live, identical to BenchmarkFuncSweep — so
-// against the committed live baseline this row is the warm substrate's
-// speedup, and the gap over the FuncSweep row is the decoded-cache win over
-// per-cell file replay.
-func BenchmarkFuncSweepDecodedCache(b *testing.B) {
-	dir := b.TempDir()
-	if os.Getenv("DOPPEL_BENCH_LIVE") != "" {
-		dir = "" // no trace cache: every cell runs its kernels
-	}
-	cache := trace.NewDecodedCache(512 << 20)
-	sweepOnce := func() {
-		r := sweep.NewRunner(benchScale)
-		r.TraceDir = dir
-		r.DecodedCache = cache
-		for _, name := range r.Benchmarks() {
-			for _, m := range sweep.MapSpaces {
-				if _, err := r.SplitError(name, m, sweep.BaseDataFrac); err != nil {
-					b.Fatal(err)
-				}
-			}
-			for _, frac := range sweep.DataFracs {
-				if _, err := r.SplitError(name, sweep.BaseMapBits, frac); err != nil {
-					b.Fatal(err)
-				}
-			}
-			for _, frac := range sweep.UniFracs {
-				if _, err := r.UnifiedError(name, sweep.BaseMapBits, frac); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	}
-	sweepOnce() // populate the trace directory and decoded cache untimed
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sweepOnce()
 	}
 }
 

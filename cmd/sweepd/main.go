@@ -42,6 +42,22 @@ import (
 	"doppelganger/internal/trace"
 )
 
+// Connection timeouts, so a client that trickles its request headers, or
+// idles between requests, cannot hold a connection and its goroutine for
+// good. There is deliberately no ReadTimeout or WriteTimeout: a job may run
+// for the whole -job-timeout, and a read deadline that expires mid-job makes
+// net/http cancel the request's context. The job body's read is bounded by
+// the handler itself (internal/server).
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
+// newHTTPServer wraps the job server's handler with the connection timeouts.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 func main() {
 	var (
 		addr  = flag.String("addr", ":8734", "listen address (use :0 for an ephemeral port; the chosen address is printed)")
@@ -215,7 +231,7 @@ func main() {
 		}
 	}
 
-	hs := &http.Server{Handler: s.Handler()}
+	hs := newHTTPServer(s.Handler())
 
 	// SIGTERM/SIGINT: drain (stop admission, finish in-flight within
 	// -drain-timeout, snapshot stragglers to -state), then shut the listener

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -183,5 +184,54 @@ func TestForEachValidAndEvictionStats(t *testing.T) {
 	c.ForEachValid(func(l *Line) { n++ })
 	if n != 8 {
 		t.Errorf("valid = %d", n)
+	}
+}
+
+// BenchmarkCacheLookup measures one set probe through Lookup on the
+// geometries of the paper's Table 1: the private L1 (16 KB, 4-way) and L2
+// (128 KB, 8-way) and the baseline LLC (2 MB, 16-way). Every way of every
+// set is valid. Each op looks up the next address of a shuffled slice that
+// holds one address per set: on "hit" it matches a way that rotates with
+// the set, on "miss" its tag is in no way, so the probe scans the whole set.
+func BenchmarkCacheLookup(b *testing.B) {
+	for _, cfg := range []Config{
+		{Name: "L1", SizeBytes: 16 << 10, Ways: 4},
+		{Name: "L2", SizeBytes: 128 << 10, Ways: 8},
+		{Name: "LLC", SizeBytes: 2 << 20, Ways: 16},
+	} {
+		c := New(cfg)
+		sets, ways := cfg.Sets(), cfg.Ways
+		tagShift := memdata.OffsetBits + c.SetIndexBits()
+		addrOf := func(set, tag int) memdata.Addr {
+			return memdata.Addr(tag<<tagShift | set<<memdata.OffsetBits)
+		}
+		for s := 0; s < sets; s++ {
+			for w := 0; w < ways; w++ {
+				a := addrOf(s, w)
+				c.Install(c.Victim(a), a, nil)
+			}
+		}
+		order := rand.New(rand.NewSource(1)).Perm(sets)
+		for _, mode := range []string{"hit", "miss"} {
+			hit := mode == "hit"
+			addrs := make([]memdata.Addr, sets)
+			for i, s := range order {
+				tag := ways // held by no way
+				if hit {
+					tag = s % ways
+				}
+				addrs[i] = addrOf(s, tag)
+				if (c.Probe(addrs[i]) != nil) != hit {
+					b.Fatalf("%s set %d: probe hit = %v, want %v", cfg.Name, s, !hit, hit)
+				}
+			}
+			mask := sets - 1 // Validate makes the set count a power of two
+			b.Run(cfg.Name+"/"+mode, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					c.Lookup(addrs[i&mask])
+				}
+			})
+		}
 	}
 }

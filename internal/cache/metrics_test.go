@@ -71,16 +71,3 @@ func TestEnabledMetricsCountsMatchStats(t *testing.T) {
 		}
 	}
 }
-
-// BenchmarkLookupDisabled measures a hit Lookup, which must be
-// allocation-free.
-func BenchmarkLookupDisabled(b *testing.B) {
-	c := testCache()
-	addr := memdata.Addr(0x1240)
-	c.Install(c.Victim(addr), addr, nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Lookup(addr)
-	}
-}

@@ -5,12 +5,20 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 )
 
 // maxBodyBytes bounds a job request body; cells are tiny.
 const maxBodyBytes = 1 << 20
+
+// bodyReadTimeout bounds how long a client may take to send a job body once
+// its headers are in, so a trickled body cannot hold a connection and its
+// goroutine. It is a per-request read deadline, cleared before the job runs:
+// a deadline that expired mid-job would make net/http's background read of
+// the connection cancel the request's context.
+const bodyReadTimeout = 5 * time.Second
 
 // errorBody is every non-200 response's JSON shape.
 type errorBody struct {
@@ -71,17 +79,20 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// handleSubmit decodes one Cell and maps Submit's error taxonomy onto HTTP:
-// 400 invalid cell, 429 shed (with Retry-After), 503 draining, 504 job
-// deadline, 500 exhausted retries.
+// handleSubmit decodes exactly one Cell and maps Submit's error taxonomy
+// onto HTTP: 400 invalid or trailing body, 429 shed (with Retry-After), 503
+// draining, 504 job deadline, 500 exhausted retries.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var c Cell
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&c); err != nil {
+	rc := http.NewResponseController(w)
+	// Only a writer with no connection behind it (a test recorder) refuses
+	// a deadline; its body is size-bounded all the same.
+	_ = rc.SetReadDeadline(time.Now().Add(bodyReadTimeout))
+	c, err := decodeCell(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad request body: %v", err)})
 		return
 	}
+	_ = rc.SetReadDeadline(time.Time{})
 	res, err := s.Submit(r.Context(), c)
 	if err == nil {
 		writeJSON(w, http.StatusOK, res)
@@ -102,4 +113,22 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	default:
 		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
 	}
+}
+
+// decodeCell reads one JSON cell and requires the body to end after it, so
+// trailing bytes or a second cell are refused rather than silently dropped.
+func decodeCell(body io.Reader) (Cell, error) {
+	var c Cell
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&c); err != nil {
+		return Cell{}, err
+	}
+	if err := dec.Decode(&json.RawMessage{}); err != io.EOF {
+		if err == nil {
+			err = errors.New("a second JSON value")
+		}
+		return Cell{}, fmt.Errorf("after the cell: %v", err)
+	}
+	return c, nil
 }
