@@ -9,20 +9,19 @@
 # SIGINT/checkpoint/resume path end to end; all three are folded into `race`.
 # `trace-smoke` proves the persistent trace cache end to end under the race
 # detector (capture, replay, strict-replay rejection, persist-failure
-# degradation, the decoded-capture cache with its digests and LRU eviction
-# under memory pressure, output-only cells kept out of that cache; the
-# facade's record/replay through the same capture gateway and doppelsim's
-# -savetrace/-replay round trip) and is folded into `race` alongside the
-# other smokes.
+# degradation, warm error cells that replay no hierarchy, the file digest and
+# the decoded-capture LRU perfbench still uses; the facade's record/replay
+# through the same capture gateway and doppelsim's -savetrace/-replay round
+# trip) and is folded into `race` alongside the other smokes.
 # `chaos-smoke` runs the short-mode chaos soak (cmd/chaossoak) under the race
 # detector — corruption/quarantine, SIGKILLed recorders, fault-injecting
 # filesystem — and is folded into `race`; the full 50-round soak is
 # `go run ./cmd/chaossoak -out BENCH_9.json`.
 # `server-smoke` proves the sweep server's robustness layer under the race
 # detector — memoized dispatch, shard failover, breaker quarantine, the
-# chaos exactly-once/bit-identical proof, the decoded-cache stats and digest
-# routing, the trace-cache leak tests, and the sweepd drain/resume end to
-# end — and is folded into `race`.
+# chaos exactly-once/bit-identical proof, the trace-dir round trip with its
+# memo hit after recording, the trace-cache leak tests, and the sweepd
+# drain/resume end to end — and is folded into `race`.
 # `fuzz-smoke` gives each fuzz target a short budget (Go allows one -fuzz
 # pattern per package invocation, hence one line per target).
 # `bench-smoke` runs one iteration of each Evaluation benchmark, plus the
@@ -71,12 +70,12 @@ quality-smoke:
 	$(GO) test -race -run 'TestBreakerProperty|TestBreakerDeterminism' ./internal/quality/
 
 server-smoke:
-	$(GO) test -race -run 'TestSubmitMemoizesAndMatchesSerial|TestKillShardFailsOver|TestBreakerQuarantinesShard|TestChaosExactlyOnceBitIdentical|TestDrainSnapshotsPending|TestHTTPEndpoints|TestServerDecodedCacheAndDigestRouting' ./internal/server/
+	$(GO) test -race -run 'TestSubmitMemoizesAndMatchesSerial|TestKillShardFailsOver|TestBreakerQuarantinesShard|TestChaosExactlyOnceBitIdentical|TestDrainSnapshotsPending|TestHTTPEndpoints|TestServerTraceRoundTrip' ./internal/server/
 	$(GO) test -race -run 'TestTraceCacheConcurrentCancelNoLeak|TestTraceCacheForgottenErrorUnderConcurrency' ./internal/sweep/
 	$(GO) test -run 'TestDrainResumeByteIdentical' ./cmd/sweepd/
 
 trace-smoke:
-	$(GO) test -race -cpu 1,4 -run 'TestTraceSmoke|TestTraceReplayRequiresCapture|TestTracePersistFailureDegradesLive|TestDecodedCacheHoldsOnlyBaselines' ./internal/sweep/
+	$(GO) test -race -cpu 1,4 -run 'TestTraceSmoke|TestTraceReplayRequiresCapture|TestTracePersistFailureDegradesLive|TestWarmErrorCellsReplayNothing' ./internal/sweep/
 	$(GO) test -race -run 'TestCapture|TestCursor|TestWriteFile|TestOpenStore|TestQuarantineOneWayDoor|TestVerifyFileModes|TestReadErrorClassification|TestDecodedDigestFields|TestDecodedCache' ./internal/trace/
 	$(GO) test -race -run 'TestFacadeTraceRecordReplay|TestFacadeTraceReplayRequiresCapture|TestFacadeCaptureMatchesSweep' .
 	$(GO) test -race -run 'TestSaveTraceReplay' ./cmd/doppelsim/

@@ -68,8 +68,6 @@ func main() {
 		traceReplay  = flag.Bool("trace-replay", false, "forbid kernel execution: fail any cell without a valid capture in -trace-dir")
 		traceVerify  = flag.String("trace-verify", "open", "startup scrub strictness for -trace-dir: off (sweep temp files only), open (verify each capture's digest), full (fully decode each capture)")
 
-		decodedCacheMB = flag.Int("decoded-cache-mb", 0, "in-memory decoded-capture cache budget, MB: decode each capture in -trace-dir once per sweep, not once per consumer (0 disables)")
-
 		metricsOut = flag.String("metrics-out", "", "write per-task + total counter snapshots as JSONL to this file")
 		traceOut   = flag.String("trace-out", "", "write a Chrome-trace JSON (chrome://tracing) of every timing run to this file")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
@@ -87,17 +85,16 @@ func main() {
 		}
 	})
 	if err := validateOptions(sweepOptions{
-		Scale:          *scale,
-		Workers:        *workers,
-		WorkersSet:     workersSet,
-		Retries:        *retries,
-		QualityBudget:  *qualityBudget,
-		CanaryRate:     *canaryRate,
-		TraceDir:       *traceDir,
-		TraceCapture:   *traceCapture,
-		TraceReplay:    *traceReplay,
-		TraceVerify:    *traceVerify,
-		DecodedCacheMB: *decodedCacheMB,
+		Scale:         *scale,
+		Workers:       *workers,
+		WorkersSet:    workersSet,
+		Retries:       *retries,
+		QualityBudget: *qualityBudget,
+		CanaryRate:    *canaryRate,
+		TraceDir:      *traceDir,
+		TraceCapture:  *traceCapture,
+		TraceReplay:   *traceReplay,
+		TraceVerify:   *traceVerify,
 	}); err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		os.Exit(2)
@@ -170,11 +167,6 @@ func main() {
 	}
 	if *metricsOut != "" {
 		ev.CollectMetrics()
-	}
-	if *traceDir != "" {
-		// After CollectMetrics, so the decoded cache's counters land on the
-		// registry -metrics-out snapshots.
-		ev.DecodedCache(*decodedCacheMB)
 	}
 	var finishTrace func() error
 	if *traceOut != "" {

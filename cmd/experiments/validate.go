@@ -13,17 +13,16 @@ func parseRates(s string) ([]float64, error) {
 // sentinel defaults (-workers 0 = one per CPU) stay legal while explicitly
 // requested nonsense is rejected with an actionable message.
 type sweepOptions struct {
-	Scale          float64
-	Workers        int
-	WorkersSet     bool
-	Retries        int
-	QualityBudget  float64
-	CanaryRate     float64
-	TraceDir       string
-	TraceCapture   bool
-	TraceReplay    bool
-	TraceVerify    string
-	DecodedCacheMB int
+	Scale         float64
+	Workers       int
+	WorkersSet    bool
+	Retries       int
+	QualityBudget float64
+	CanaryRate    float64
+	TraceDir      string
+	TraceCapture  bool
+	TraceReplay   bool
+	TraceVerify   string
 }
 
 // validateOptions rejects flag combinations that would otherwise fail
@@ -38,6 +37,5 @@ func validateOptions(o sweepOptions) error {
 		flagcheck.Probability("-canary-rate", o.CanaryRate),
 		flagcheck.TraceFlags(o.TraceDir, o.TraceCapture, o.TraceReplay),
 		flagcheck.TraceVerify("-trace-verify", o.TraceVerify),
-		flagcheck.NonNegative("-decoded-cache-mb", o.DecodedCacheMB),
 	)
 }

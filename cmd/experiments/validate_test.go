@@ -46,7 +46,6 @@ func TestValidateOptions(t *testing.T) {
 		{"canary above one", sweepOptions{Scale: 1, QualityBudget: 0.05, CanaryRate: 1.5}, "-canary-rate"},
 		{"negative canary", sweepOptions{Scale: 1, QualityBudget: 0.05, CanaryRate: -0.1}, "-canary-rate"},
 		{"bad trace verify", sweepOptions{Scale: 1, QualityBudget: 0.05, TraceVerify: "paranoid"}, "-trace-verify"},
-		{"negative decoded cache", sweepOptions{Scale: 1, QualityBudget: 0.05, DecodedCacheMB: -1}, "-decoded-cache-mb"},
 	}
 	for _, tc := range bad {
 		err := validateOptions(tc.o)

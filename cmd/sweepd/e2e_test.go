@@ -250,7 +250,6 @@ func TestValidateOptions(t *testing.T) {
 		{"canary", func(o *sweepdOptions) { o.CanaryRate = 1.5 }, "-canary-rate"},
 		{"trace replay without dir", func(o *sweepdOptions) { o.TraceReplay = true }, "-trace-dir"},
 		{"bad trace verify", func(o *sweepdOptions) { o.TraceVerify = "sometimes" }, "-trace-verify"},
-		{"negative decoded cache", func(o *sweepdOptions) { o.DecodedCacheMB = -1 }, "-decoded-cache-mb"},
 		{"resume without files", func(o *sweepdOptions) { o.Resume = true }, "-resume"},
 	}
 	for _, tc := range bad {

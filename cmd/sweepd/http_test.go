@@ -61,8 +61,11 @@ func TestSlowClientsAreCut(t *testing.T) {
 	t.Run("short body", func(t *testing.T) {
 		t.Parallel()
 		got := stall(t, "POST /v1/jobs HTTP/1.1\r\nHost: sweepd\r\nContent-Length: 100\r\n\r\n"+`{"kind":"f`)
-		if len(got) > 0 && !bytes.HasPrefix(got, []byte("HTTP/1.1 400 ")) {
-			t.Fatalf("stalled body answered %q, want 400 or a close", got)
+		if len(got) > 0 && !bytes.HasPrefix(got, []byte("HTTP/1.1 408 ")) {
+			t.Fatalf("stalled body answered %q, want 408 or a close", got)
+		}
+		if bytes.Contains(got, []byte("127.0.0.1")) {
+			t.Fatalf("stalled body's answer echoes a connection address: %q", got)
 		}
 	})
 	t.Run("normal post", func(t *testing.T) {

@@ -98,8 +98,6 @@ func main() {
 		traceCapture = flag.Bool("trace-capture", false, "force re-recording captures in -trace-dir")
 		traceReplay  = flag.Bool("trace-replay", false, "forbid kernel execution: fail any cell without a valid capture")
 		traceVerify  = flag.String("trace-verify", "open", "startup scrub strictness for -trace-dir: off (sweep temp files only), open (verify each capture's digest), full (fully decode each capture)")
-
-		decodedCacheMB = flag.Int("decoded-cache-mb", 256, "in-memory decoded-capture cache budget shared by all shards, MB (0 disables; needs -trace-dir)")
 	)
 	flag.Parse()
 
@@ -108,29 +106,28 @@ func main() {
 		os.Exit(2)
 	}
 	if err := validateOptions(sweepdOptions{
-		Scale:          *scale,
-		Cores:          *cores,
-		Shards:         *shards,
-		ShardWorkers:   *shardWorkers,
-		QueueDepth:     *queueDepth,
-		MaxQueue:       *maxQueue,
-		AdmitRate:      *admitRate,
-		AdmitBurst:     *admitBurst,
-		JobTimeout:     *jobTimeout,
-		RetryBackoff:   *retryBackoff,
-		HedgeAfter:     *hedgeAfter,
-		DrainTimeout:   *drainTimeout,
-		Retries:        *retries,
-		QualityBudget:  *qualityBudget,
-		CanaryRate:     *canaryRate,
-		TraceDir:       *traceDir,
-		TraceCapture:   *traceCapture,
-		TraceReplay:    *traceReplay,
-		TraceVerify:    *traceVerify,
-		DecodedCacheMB: *decodedCacheMB,
-		Resume:         *resume,
-		StatePath:      *statePath,
-		Checkpoint:     *checkpoint,
+		Scale:         *scale,
+		Cores:         *cores,
+		Shards:        *shards,
+		ShardWorkers:  *shardWorkers,
+		QueueDepth:    *queueDepth,
+		MaxQueue:      *maxQueue,
+		AdmitRate:     *admitRate,
+		AdmitBurst:    *admitBurst,
+		JobTimeout:    *jobTimeout,
+		RetryBackoff:  *retryBackoff,
+		HedgeAfter:    *hedgeAfter,
+		DrainTimeout:  *drainTimeout,
+		Retries:       *retries,
+		QualityBudget: *qualityBudget,
+		CanaryRate:    *canaryRate,
+		TraceDir:      *traceDir,
+		TraceCapture:  *traceCapture,
+		TraceReplay:   *traceReplay,
+		TraceVerify:   *traceVerify,
+		Resume:        *resume,
+		StatePath:     *statePath,
+		Checkpoint:    *checkpoint,
 	}); err != nil {
 		fail(err)
 	}
@@ -166,33 +163,32 @@ func main() {
 	}
 
 	cfg := server.Config{
-		Scale:          *scale,
-		Cores:          *cores,
-		Shards:         *shards,
-		ShardWorkers:   *shardWorkers,
-		QueueDepth:     *queueDepth,
-		MaxQueue:       *maxQueue,
-		AdmitRate:      *admitRate,
-		AdmitBurst:     *admitBurst,
-		JobTimeout:     *jobTimeout,
-		Retries:        *retries,
-		RetryBackoff:   *retryBackoff,
-		HedgeAfter:     *hedgeAfter,
-		DrainTimeout:   *drainTimeout,
-		StatePath:      *statePath,
-		Breaker:        quality.BreakerConfig{Budget: *breakerBudget, Cooldown: *breakerCool},
-		FaultSeed:      *faultSeed,
-		FaultModel:     model,
-		QualityBudget:  *qualityBudget,
-		QualitySeed:    *qualitySeed,
-		CanaryRate:     *canaryRate,
-		TraceDir:       *traceDir,
-		TraceCapture:   *traceCapture,
-		TraceReplay:    *traceReplay,
-		TraceVerify:    verifyMode,
-		DecodedCacheMB: *decodedCacheMB,
-		Checkpoint:     cp,
-		Log:            logw,
+		Scale:         *scale,
+		Cores:         *cores,
+		Shards:        *shards,
+		ShardWorkers:  *shardWorkers,
+		QueueDepth:    *queueDepth,
+		MaxQueue:      *maxQueue,
+		AdmitRate:     *admitRate,
+		AdmitBurst:    *admitBurst,
+		JobTimeout:    *jobTimeout,
+		Retries:       *retries,
+		RetryBackoff:  *retryBackoff,
+		HedgeAfter:    *hedgeAfter,
+		DrainTimeout:  *drainTimeout,
+		StatePath:     *statePath,
+		Breaker:       quality.BreakerConfig{Budget: *breakerBudget, Cooldown: *breakerCool},
+		FaultSeed:     *faultSeed,
+		FaultModel:    model,
+		QualityBudget: *qualityBudget,
+		QualitySeed:   *qualitySeed,
+		CanaryRate:    *canaryRate,
+		TraceDir:      *traceDir,
+		TraceCapture:  *traceCapture,
+		TraceReplay:   *traceReplay,
+		TraceVerify:   verifyMode,
+		Checkpoint:    cp,
+		Log:           logw,
 	}
 	if *only != "" {
 		cfg.Only = strings.Split(*only, ",")

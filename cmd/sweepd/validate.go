@@ -13,29 +13,28 @@ var errResumeNeedsFile = errors.New("-resume requires -state and/or -checkpoint 
 // server starts: every rejection here is a config that would otherwise fail
 // obscurely mid-serve (or silently simulate the wrong thing).
 type sweepdOptions struct {
-	Scale          float64
-	Cores          int
-	Shards         int
-	ShardWorkers   int
-	QueueDepth     int
-	MaxQueue       int
-	AdmitRate      float64
-	AdmitBurst     float64
-	JobTimeout     time.Duration
-	RetryBackoff   time.Duration
-	HedgeAfter     time.Duration
-	DrainTimeout   time.Duration
-	Retries        int
-	QualityBudget  float64
-	CanaryRate     float64
-	TraceDir       string
-	TraceCapture   bool
-	TraceReplay    bool
-	TraceVerify    string
-	DecodedCacheMB int
-	Resume         bool
-	StatePath      string
-	Checkpoint     string
+	Scale         float64
+	Cores         int
+	Shards        int
+	ShardWorkers  int
+	QueueDepth    int
+	MaxQueue      int
+	AdmitRate     float64
+	AdmitBurst    float64
+	JobTimeout    time.Duration
+	RetryBackoff  time.Duration
+	HedgeAfter    time.Duration
+	DrainTimeout  time.Duration
+	Retries       int
+	QualityBudget float64
+	CanaryRate    float64
+	TraceDir      string
+	TraceCapture  bool
+	TraceReplay   bool
+	TraceVerify   string
+	Resume        bool
+	StatePath     string
+	Checkpoint    string
 }
 
 func validateOptions(o sweepdOptions) error {
@@ -56,7 +55,6 @@ func validateOptions(o sweepdOptions) error {
 		flagcheck.Probability("-canary-rate", o.CanaryRate),
 		flagcheck.TraceFlags(o.TraceDir, o.TraceCapture, o.TraceReplay),
 		flagcheck.TraceVerify("-trace-verify", o.TraceVerify),
-		flagcheck.NonNegative("-decoded-cache-mb", o.DecodedCacheMB),
 	); err != nil {
 		return err
 	}

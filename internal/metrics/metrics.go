@@ -3,9 +3,8 @@
 //
 // Two kinds of layers fill it. Layers that act once per request, capture,
 // LLC operation or off-chip access (the sweep server, the capture gateway,
-// the decoded-capture cache, the fault injector, the quality controller,
-// DRAM) resolve instruments once at attach time, hold them as struct fields
-// and count per event. A nil *Registry hands out nil instruments, and every
+// the fault injector, the quality controller, DRAM) resolve instruments once
+// at attach time, hold them as struct fields and count per event. A nil *Registry hands out nil instruments, and every
 // instrument method is a no-op on a nil receiver, so with no registry those
 // layers pay one nil check per event.
 //

@@ -1,12 +1,14 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"time"
 )
 
@@ -79,20 +81,35 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// handleSubmit decodes exactly one Cell and maps Submit's error taxonomy
-// onto HTTP: 400 invalid or trailing body, 429 shed (with Retry-After), 503
-// draining, 504 job deadline, 500 exhausted retries.
+// handleSubmit reads the body, decodes exactly one Cell from it and maps
+// Submit's error taxonomy onto HTTP: 413 body over maxBodyBytes, 408 body
+// not in by bodyReadTimeout, 400 invalid or trailing body, 429 shed (with
+// Retry-After), 503 draining, 504 job deadline, 500 exhausted retries.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	rc := http.NewResponseController(w)
 	// Only a writer with no connection behind it (a test recorder) refuses
 	// a deadline; its body is size-bounded all the same.
 	_ = rc.SetReadDeadline(time.Now().Add(bodyReadTimeout))
-	c, err := decodeCell(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	var c Cell
+	if err == nil {
+		_ = rc.SetReadDeadline(time.Time{})
+		c, err = decodeCell(bytes.NewReader(body))
+	}
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{Error: fmt.Sprintf("request body over %d bytes", maxBodyBytes)})
+		return
+	case errors.Is(err, os.ErrDeadlineExceeded):
+		// The read error names both ends of the connection; say only what
+		// the client has to fix.
+		writeJSON(w, http.StatusRequestTimeout, errorBody{Error: fmt.Sprintf("request body not received within %v", bodyReadTimeout)})
+		return
+	case err != nil:
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad request body: %v", err)})
 		return
 	}
-	_ = rc.SetReadDeadline(time.Time{})
 	res, err := s.Submit(r.Context(), c)
 	if err == nil {
 		writeJSON(w, http.StatusOK, res)

@@ -33,8 +33,8 @@ func postJob(h http.Handler, body []byte) *httptest.ResponseRecorder {
 }
 
 // TestSubmitBodyStrict pins the job body's grammar: exactly one JSON cell,
-// optionally surrounded by whitespace, within maxBodyBytes. Trailing bytes
-// and a second cell are refused, not silently dropped.
+// optionally surrounded by whitespace, within maxBodyBytes (413 beyond it).
+// Trailing bytes and a second cell are refused, not silently dropped.
 func TestSubmitBodyStrict(t *testing.T) {
 	h := drainedHandler(t)
 	const cell = `{"kind":"baseline-timing","bench":"kmeans"}`
@@ -47,7 +47,7 @@ func TestSubmitBodyStrict(t *testing.T) {
 		{"one cell", cell, http.StatusServiceUnavailable},
 		{"surrounding whitespace", "\n\t " + cell + " \r\n", http.StatusServiceUnavailable},
 		{"exactly maxBodyBytes", pad(maxBodyBytes), http.StatusServiceUnavailable},
-		{"maxBodyBytes+1", pad(maxBodyBytes + 1), http.StatusBadRequest},
+		{"maxBodyBytes+1", pad(maxBodyBytes + 1), http.StatusRequestEntityTooLarge},
 		{"trailing garbage", cell + "garbage", http.StatusBadRequest},
 		{"trailing brace", cell + "}", http.StatusBadRequest},
 		{"two cells", cell + `{"kind":"figure","figure":"fig9"}`, http.StatusBadRequest},
@@ -65,9 +65,9 @@ func TestSubmitBodyStrict(t *testing.T) {
 
 // FuzzSubmitBody drives POST /v1/jobs with arbitrary bodies against a
 // draining server. The handler must never panic and must answer every body
-// with an errorBody: 503 exactly when the body is one JSON value, with no
-// unknown field, that decodes to a valid cell, and 400 otherwise. It never
-// answers 200 or 500.
+// with an errorBody: 413 for a body over maxBodyBytes, 503 exactly when the
+// body is one JSON value, with no unknown field, that decodes to a valid
+// cell, and 400 otherwise. It never answers 200 or 500.
 func FuzzSubmitBody(f *testing.F) {
 	h := drainedHandler(f)
 	for _, seed := range []string{
@@ -96,7 +96,9 @@ func FuzzSubmitBody(f *testing.F) {
 			t.Fatalf("status %d body %q is not an errorBody (%v)", rec.Code, rec.Body.String(), err)
 		}
 		want := http.StatusBadRequest
-		if strictCell(body) {
+		if len(body) > maxBodyBytes {
+			want = http.StatusRequestEntityTooLarge
+		} else if strictCell(body) {
 			want = http.StatusServiceUnavailable
 		}
 		if rec.Code != want {

@@ -19,7 +19,6 @@ import (
 	"doppelganger/internal/singleflight"
 	"doppelganger/internal/sweep"
 	"doppelganger/internal/trace"
-	"doppelganger/internal/workloads"
 )
 
 // ErrBadCell wraps cell validation failures (HTTP 400).
@@ -108,12 +107,6 @@ type Config struct {
 	TraceCapture bool
 	TraceReplay  bool
 	TraceVerify  trace.VerifyMode
-
-	// DecodedCacheMB, when positive (and TraceDir is set), bounds a single
-	// decoded-capture LRU shared by every shard runner: a capture any shard
-	// decodes is replayable by the rest without re-reading the file. It also
-	// switches ring routing to capture digests (see routeKey).
-	DecodedCacheMB int
 
 	// Checkpoint, when non-nil, persists every completed result and primes
 	// every shard runner from already-loaded records (resume). The caller
@@ -213,10 +206,6 @@ type Server struct {
 	traceStore    *trace.Store
 	degradedGauge *metrics.Gauge
 
-	// decoded is the decoded-capture LRU every shard runner shares (nil
-	// unless DecodedCacheMB is set).
-	decoded *trace.DecodedCache
-
 	chaos ChaosHooks
 }
 
@@ -289,10 +278,6 @@ func New(cfg Config) (*Server, error) {
 	// Open (lock + scrub) the trace store before any shard worker starts
 	// and before New returns — /readyz cannot say ready until the directory
 	// has been swept of orphaned temp files and condemned captures.
-	if cfg.TraceDir != "" && cfg.DecodedCacheMB > 0 {
-		s.decoded = trace.NewDecodedCache(int64(cfg.DecodedCacheMB) << 20)
-		s.decoded.AttachMetrics(reg)
-	}
 	if cfg.TraceDir != "" {
 		st, err := trace.OpenStore(trace.OS, cfg.TraceDir, cfg.TraceVerify)
 		if err != nil {
@@ -332,7 +317,6 @@ func New(cfg Config) (*Server, error) {
 		r.TraceDir = cfg.TraceDir
 		r.TraceCapture = cfg.TraceCapture
 		r.TraceReplay = cfg.TraceReplay
-		r.DecodedCache = s.decoded
 		r.Checkpoint = cfg.Checkpoint
 		if cfg.Checkpoint != nil {
 			r.Resume(cfg.Checkpoint)
@@ -380,9 +364,9 @@ func (s *Server) KillShard(i int) {
 }
 
 // contentHash is the result-memo key: the cell identity plus every knob that
-// changes its bytes (scale, cores, seeds, budgets) plus — when a warm trace
-// exists — the benchmark's baseline capture digest, so re-recording the
-// trace substrate invalidates the memo entry.
+// changes its bytes (scale, cores, seeds, budgets). A capture replays
+// bit-identically to the live run it recorded, so the trace directory's
+// contents are not part of the key, and a memo hit opens no file.
 func (s *Server) contentHash(c Cell) string {
 	budget := s.cfg.QualityBudget
 	if budget == 0 {
@@ -395,12 +379,6 @@ func (s *Server) contentHash(c Cell) string {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "sweepd1|%s|scale=%g|cores=%d|fseed=%d|fmodel=%s|qseed=%d|budget=%g|canary=%g",
 		c.Key(), s.cfg.Scale, s.cfg.Cores, s.cfg.FaultSeed, s.cfg.FaultModel, s.cfg.QualitySeed, budget, canary)
-	if s.cfg.TraceDir != "" && c.Bench != "" {
-		ident := workloads.CaptureIdent("base/"+c.Bench, s.cfg.Scale, s.cfg.Cores, "")
-		if d, err := trace.FileDigest(workloads.CapturePath(s.cfg.TraceDir, ident)); err == nil {
-			fmt.Fprintf(h, "|tdigest=%016x", d)
-		}
-	}
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
@@ -511,37 +489,12 @@ func (s *Server) dispatch(ctx context.Context, c Cell, key string) ([]byte, uint
 	return nil, 0, -1, fmt.Errorf("server: job %s failed after %d attempt(s): %w", key, s.cfg.Retries+1, lastErr)
 }
 
-// routeKey picks the consistent-hash key for a cell. Plain servers route by
-// benchmark (Cell.RouteKey), keeping a benchmark's cells — and their memoized
-// baseline — on one shard. With a shared decoded-capture cache, cells route
-// by the digest of the capture file they replay. Timing cells replay the
-// baseline's recording, so a benchmark's timing cells still land on its
-// baseline's shard, while its error cells spread across shards by capture.
-// Cells whose capture isn't on disk yet (cold directory) fall back to
-// benchmark routing; once recorded, resubmissions route by digest.
-func (s *Server) routeKey(c Cell) string {
-	if s.decoded == nil || len(s.shards) == 0 {
-		return c.RouteKey()
-	}
-	// Every shard runner is configured identically; shard 0's maps the cell
-	// to its capture identity.
-	ident, ok := s.shards[0].runner.CellCaptureIdent(c.Kind, c.Bench, c.Org, c.M, c.Frac, c.Rate)
-	if !ok {
-		return c.RouteKey()
-	}
-	d, err := trace.FileDigest(workloads.CapturePath(s.cfg.TraceDir, ident))
-	if err != nil {
-		return c.RouteKey()
-	}
-	return fmt.Sprintf("digest:%016x", d)
-}
-
 // attempt runs one dispatch round: enqueue on the first live, breaker-
 // allowed, non-full candidate in ring order; hedge onto the next one if the
 // answer is slow; verify the payload checksum on receipt. Corrupt or failed
 // outcomes feed the shard's breaker and fall through to the next candidate.
 func (s *Server) attempt(ctx context.Context, c Cell, key string, rotation int) ([]byte, uint64, int, error) {
-	seq := s.ring.order(s.routeKey(c))
+	seq := s.ring.order(c.RouteKey())
 	if len(seq) == 0 {
 		return nil, 0, -1, errors.New("server: no shards")
 	}
@@ -815,10 +768,6 @@ type Stats struct {
 	TraceDegraded    uint64             `json:"trace_degraded,omitempty"`
 	TraceScrub       *trace.ScrubReport `json:"trace_scrub,omitempty"`
 
-	// DecodedCache snapshots the shared decoded-capture LRU (nil when the
-	// cache is off): hit/miss/eviction counts plus current resident bytes.
-	DecodedCache *trace.DecodedCacheStats `json:"decoded_cache,omitempty"`
-
 	Shards []ShardStats `json:"shards"`
 }
 
@@ -850,10 +799,6 @@ func (s *Server) Stats() Stats {
 	if s.traceStore != nil {
 		rep := s.traceStore.Report
 		st.TraceScrub = &rep
-	}
-	if s.decoded != nil {
-		dc := s.decoded.Stats()
-		st.DecodedCache = &dc
 	}
 	// Mirror the degraded count onto the gauge so /metrics shows degraded
 	// mode as a level alongside the raw counter.

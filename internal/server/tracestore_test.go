@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"doppelganger/internal/trace"
-	"doppelganger/internal/workloads"
 )
 
 // TestServerScrubsTraceDirAtStartup proves the server runs the startup
@@ -94,99 +93,11 @@ func TestServerTraceDirUnusable(t *testing.T) {
 	}
 }
 
-// TestServerDecodedCacheAndDigestRouting covers the shared decoded-capture
-// layer above the trace store: cells route by benchmark until their capture
-// exists, then by its digest; a warm restart replays through the decoded
-// cache; and the cache's counters surface in /v1/stats and Stats().
-func TestServerDecodedCacheAndDigestRouting(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs simulations")
-	}
-	dir := t.TempDir()
-	cell := Cell{Kind: "split-error", Bench: "kmeans", M: 14, Frac: 0.25}
-
-	cfg := testConfig()
-	cfg.TraceDir = dir
-	cfg.TraceVerify = trace.VerifyOpen
-	cfg.DecodedCacheMB = 64
-	cfg.Log = nil
-
-	first, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Cold directory: the capture isn't on disk, so routing falls back to
-	// the benchmark key.
-	if got := first.routeKey(cell); got != cell.RouteKey() {
-		t.Errorf("cold routeKey = %q, want fallback %q", got, cell.RouteKey())
-	}
-	res1, err := first.Submit(context.Background(), cell)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Recorded: the cell now routes by its capture's digest, and a cell
-	// kind with no single capture keeps the fallback.
-	if got := first.routeKey(cell); !strings.HasPrefix(got, "digest:") {
-		t.Errorf("warm routeKey = %q, want digest-prefixed", got)
-	}
-	fig := Cell{Kind: "figure", Figure: "fig9"}
-	if got := first.routeKey(fig); got != fig.RouteKey() {
-		t.Errorf("figure routeKey = %q, want fallback %q", got, fig.RouteKey())
-	}
-	first.Close()
-
-	second := mustServer(t, cfg)
-	res2, err := second.Submit(context.Background(), cell)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(res1.Payload) != string(res2.Payload) {
-		t.Fatalf("decoded-cache replay diverged:\n%s\nvs\n%s", res1.Payload, res2.Payload)
-	}
-	st := second.Stats()
-	if st.TraceReplays == 0 {
-		t.Error("second server replayed nothing")
-	}
-	if st.DecodedCache == nil {
-		t.Fatal("stats carry no decoded-cache snapshot")
-	}
-	// The split-error cell reads only its capture's output, so the shared
-	// cache holds exactly one capture: the baseline the cell scored against.
-	if st.DecodedCache.Entries != 1 || st.DecodedCache.Bytes == 0 {
-		t.Errorf("decoded cache after a warm replay = %+v, want exactly the baseline capture", *st.DecodedCache)
-	}
-
-	// The snapshot also renders over HTTP, and the cache's counters are on
-	// the shared registry for /metrics.
-	rec := httptest.NewRecorder()
-	second.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/stats", nil))
-	var got Stats
-	if err := json.NewDecoder(rec.Body).Decode(&got); err != nil {
-		t.Fatal(err)
-	}
-	if got.DecodedCache == nil || got.DecodedCache.Entries == 0 {
-		t.Errorf("/v1/stats decoded cache = %+v", got.DecodedCache)
-	}
-	if second.reg.CounterValue("trace.decoded_cache.misses") == 0 {
-		t.Error("decoded-cache counters not attached to the server registry")
-	}
-
-	// The one resident capture is the baseline's, not the cell's own.
-	for kind, want := range map[string]bool{"baseline-timing": true, cell.Kind: false} {
-		ident, _ := second.shards[0].runner.CellCaptureIdent(kind, cell.Bench, cell.Org, cell.M, cell.Frac, cell.Rate)
-		d, err := trace.FileDigest(workloads.CapturePath(dir, ident))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := second.decoded.Get(d) != nil; got != want {
-			t.Errorf("%s capture resident = %v, want %v", kind, got, want)
-		}
-	}
-}
-
 // TestServerTraceRoundTrip drives one cell through a trace-dir-backed
 // server twice across restarts: the second server replays the first's
-// capture bit-identically and reports the replay in its stats.
+// capture bit-identically and reports the replay in its stats. Within the
+// first server, resubmitting the cell after its captures are recorded is a
+// memo hit: the memo key comes from the cell alone, not from the directory.
 func TestServerTraceRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
@@ -209,6 +120,13 @@ func TestServerTraceRoundTrip(t *testing.T) {
 	}
 	if n := first.Stats().TraceRecords; n == 0 {
 		t.Error("first server recorded no captures")
+	}
+	again, err := first.Submit(context.Background(), cell)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !again.Cached || first.Computes() != 1 {
+		t.Errorf("resubmission after recording: cached %v, %d computes; want a memo hit and 1 compute", again.Cached, first.Computes())
 	}
 	first.Close()
 

@@ -90,17 +90,6 @@ type Runner struct {
 	// cache — the fault-injection seam chaos tests drive. nil means the OS.
 	TraceFS trace.FS
 
-	// DecodedCache, when non-nil, is a bounded in-memory LRU of decoded
-	// captures keyed by file digest, layered above the on-disk trace store.
-	// Decoded captures are immutable and safe to share, so one cache can
-	// serve many Runners (the sweep server hands all its shards the same
-	// one): a capture any of them decoded is replayed by the rest without
-	// touching the file beyond its 16-byte digest preamble. It holds only
-	// the captures a hierarchy replay walks again (baseline and guarded
-	// quality cells), fully decoded; output-only cells load theirs with the
-	// output-only decode and never enter it.
-	DecodedCache *trace.DecodedCache
-
 	// Metrics, when non-nil, aggregates instrument totals across every
 	// simulation the runner performs. nil disables all metric collection at
 	// zero cost.
@@ -309,15 +298,17 @@ func (r *Runner) BaselineTimingContext(ctx context.Context, name string) (*times
 }
 
 // baselineScore returns the benchmark instance and precise baseline output
-// an error cell scores against. With a decoded cache over a warm trace
-// directory it is served from the baseline's own capture — PR 7's goldens
-// prove the recorded output is bit-identical to the live run's, so the full
-// baseline replay (hierarchy rebuild, snapshot analysis, timing simulation)
-// is skipped entirely on sweeps that only read error cells. Any miss —
-// cold directory, quarantined or unreadable capture, forced re-record —
-// falls back to the complete baseline artifacts.
+// an error cell scores against. Over a trace directory, until this Runner
+// has built (or started building) the benchmark's baseline, the output is
+// read from the baseline's own capture with the output-only decode: the
+// replay goldens prove the recorded output is bit-identical to the live
+// run's, so the full baseline replay (hierarchy rebuild, snapshot analysis,
+// timing simulation) is skipped for a cell that arrives before its
+// benchmark's timing cells. Any miss (cold directory, quarantined or
+// unreadable capture) falls back to the complete baseline artifacts, as
+// does a forced re-record.
 func (r *Runner) baselineScore(ctx context.Context, name string) (*baseScore, error) {
-	if r.DecodedCache == nil || r.TraceDir == "" || r.TraceCapture {
+	if r.TraceDir == "" || r.TraceCapture {
 		a, err := r.BaselineContext(ctx, name)
 		if err != nil {
 			return nil, err
@@ -330,11 +321,11 @@ func (r *Runner) baselineScore(ctx context.Context, name string) (*baseScore, er
 			return nil, err
 		}
 		// Someone already paid for (or is computing) the full artifacts in
-		// this Runner; share them instead of decoding the capture again.
+		// this Runner; share them instead of reading the capture again.
 		if !r.base.Has(name) {
 			ident := workloads.CaptureIdent("base/"+name, r.Scale, r.Cores, "")
-			if c := r.traceGateway().LoadDecoded(ident, r.Cores); c != nil {
-				return &baseScore{bench: f.New(r.Scale), out: c.Output}, nil
+			if out := r.traceGateway().LoadOutput(ident, r.Cores); out != nil {
+				return &baseScore{bench: f.New(r.Scale), out: out}, nil
 			}
 		}
 		a, err := r.BaselineContext(ctx, name)

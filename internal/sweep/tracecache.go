@@ -47,19 +47,16 @@ func (r *Runner) traceGateway() *workloads.CaptureGateway {
 		FS:      r.TraceFS,
 		Capture: r.TraceCapture,
 		Replay:  r.TraceReplay,
-		Decoded: r.DecodedCache,
 		Metrics: r.Metrics,
 		Logf:    r.logf,
 	}
 }
 
 // CellCaptureIdent maps one sweep cell (the server's wire vocabulary) to
-// the identity of the capture its functional work replays, so the sweep
-// server can route cells by trace digest: cells that replay the same file
-// land on the shard whose decoded cache already holds it. Timing cells
+// the identity of the capture its functional work replays. Timing cells
 // replay the benchmark's baseline recorder, so they map to the baseline
-// capture — co-locating a benchmark's timing cells with its baseline. ok is
-// false for cells with no single capture (whole figures, unknown kinds).
+// capture. ok is false for cells with no single capture (whole figures,
+// unknown kinds). perfbench's traced serve drive is its last caller.
 func (r *Runner) CellCaptureIdent(kind, bench, org string, m int, frac, rate float64) (string, bool) {
 	var key, extra string
 	switch kind {

@@ -34,9 +34,9 @@ func TestVerifyModeSpellings(t *testing.T) {
 }
 
 // TestFileDigestIdentity proves the cheap preamble-only digest is exactly
-// the CRC64 of the body the writer computed — the identity the sweep
-// server keys its result cache on — and that damaged or unreadable
-// preambles classify the same way the full reader would.
+// the CRC64 of the body the writer computed — the key DecodedCache files a
+// capture under — and that damaged or unreadable preambles classify the
+// same way the full reader would.
 func TestFileDigestIdentity(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "c.dgt")
@@ -48,12 +48,12 @@ func TestFileDigestIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := crc64.Checksum(raw[16:], crcTable)
-	got, err := FileDigest(path)
+	got, err := FileDigestFS(OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != want {
-		t.Errorf("FileDigest = %016x, want body CRC64 %016x", got, want)
+		t.Errorf("FileDigestFS = %016x, want body CRC64 %016x", got, want)
 	}
 	if got != binary.LittleEndian.Uint64(raw[8:16]) {
 		t.Error("digest does not come from the preamble bytes")
@@ -78,8 +78,8 @@ func TestFileDigestIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range []string{badMagic, badVersion, badFlags, tiny} {
-		if _, err := FileDigest(p); !IsQuarantineable(err) {
-			t.Errorf("FileDigest(%s) err = %v, want quarantineable", filepath.Base(p), err)
+		if _, err := FileDigestFS(OS, p); !IsQuarantineable(err) {
+			t.Errorf("FileDigestFS(%s) err = %v, want quarantineable", filepath.Base(p), err)
 		}
 		// The open-mode verifier must reach the same verdict via
 		// checkPreamble.

@@ -5,8 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"doppelganger/internal/metrics"
 )
 
 // The digest metadata is what keys the decoded cache: WriteTo and both
@@ -118,8 +116,6 @@ func TestDecodedCacheEvictionUnderMemoryPressure(t *testing.T) {
 	per := c.SizeBytes()
 	const keep = 3
 	dc := NewDecodedCache(keep * per)
-	reg := metrics.NewRegistry()
-	dc.AttachMetrics(reg)
 
 	const n = 32
 	for i := uint64(1); i <= n; i++ {
@@ -145,20 +141,6 @@ func TestDecodedCacheEvictionUnderMemoryPressure(t *testing.T) {
 		if dc.Get(i) == nil {
 			t.Fatalf("recent digest %d was evicted", i)
 		}
-	}
-
-	// Metrics mirror the internal counters under the satellite's names.
-	if got := reg.CounterValue("trace.decoded_cache.evictions"); got != st.Evictions {
-		t.Fatalf("evictions metric = %d, want %d", got, st.Evictions)
-	}
-	if got := reg.CounterValue("trace.decoded_cache.hits"); got != keep {
-		t.Fatalf("hits metric = %d, want %d", got, keep)
-	}
-	if got := reg.CounterValue("trace.decoded_cache.misses"); got != n-keep {
-		t.Fatalf("misses metric = %d, want %d", got, n-keep)
-	}
-	if got := reg.GaugeValue("trace.decoded_cache.bytes"); got != dc.Stats().Bytes {
-		t.Fatalf("bytes gauge = %d, want %d", got, dc.Stats().Bytes)
 	}
 }
 

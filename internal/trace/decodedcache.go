@@ -3,22 +3,21 @@ package trace
 import (
 	"container/list"
 	"sync"
-
-	"doppelganger/internal/metrics"
 )
 
 // DecodedCache is a bounded LRU cache of fully decoded captures, keyed by
-// whole-file digest (Capture.FileCRC — the value FileDigest reads from a
+// whole-file digest (Capture.FileCRC — the value FileDigestFS reads from a
 // file's 16-byte preamble). It sits above the on-disk store: a consumer
 // probes the preamble, asks the cache, and only on a miss pays the full
 // read + CRC + decode + memory-image reconstruction, after which the decoded
 // capture is shared by every later cell that replays the same file.
+// perfbench's traced serve drive is its last caller; the simulator's own
+// paths read every capture from the trace directory.
 //
 // Cached captures are immutable by convention: replay clones InitialMem
 // (page-granular COW) and only reads Recorder/Annotations/Output, so one
 // decoded capture can be handed to any number of concurrent replays. The
-// cache itself is safe for concurrent use and may be shared across runners
-// (the sweep server attaches one cache to every shard).
+// cache itself is safe for concurrent use.
 //
 // Eviction charges each entry its SizeBytes estimate against the byte
 // budget, evicting least-recently-used entries once the budget is exceeded —
@@ -33,9 +32,6 @@ type DecodedCache struct {
 	entries map[uint64]*list.Element
 
 	hits, misses, evictions uint64
-
-	mHits, mMisses, mEvictions *metrics.Counter
-	mBytes                     *metrics.Gauge
 }
 
 type decodedEntry struct {
@@ -55,7 +51,7 @@ type DecodedCacheStats struct {
 
 // NewDecodedCache builds a cache bounded to roughly budgetBytes of decoded
 // captures (estimated by Capture.SizeBytes). A budget <= 0 still caches the
-// single most recent capture.
+// single most recent capture. perfbench is its last caller.
 func NewDecodedCache(budgetBytes int64) *DecodedCache {
 	return &DecodedCache{
 		budget:  budgetBytes,
@@ -64,40 +60,17 @@ func NewDecodedCache(budgetBytes int64) *DecodedCache {
 	}
 }
 
-// AttachMetrics mirrors the cache's counters into reg as
-// trace.decoded_cache.{hits,misses,evictions} counters and a
-// trace.decoded_cache.bytes gauge. nil detaches.
-func (dc *DecodedCache) AttachMetrics(reg *metrics.Registry) {
-	dc.mu.Lock()
-	defer dc.mu.Unlock()
-	if reg == nil {
-		dc.mHits, dc.mMisses, dc.mEvictions, dc.mBytes = nil, nil, nil, nil
-		return
-	}
-	dc.mHits = reg.Counter("trace.decoded_cache.hits")
-	dc.mMisses = reg.Counter("trace.decoded_cache.misses")
-	dc.mEvictions = reg.Counter("trace.decoded_cache.evictions")
-	dc.mBytes = reg.Gauge("trace.decoded_cache.bytes")
-	dc.mBytes.Set(dc.bytes)
-}
-
 // Get returns the decoded capture with the given file digest, or nil. A hit
-// marks the entry most recently used.
+// marks the entry most recently used. perfbench is its last caller.
 func (dc *DecodedCache) Get(digest uint64) *Capture {
 	dc.mu.Lock()
 	defer dc.mu.Unlock()
 	e, ok := dc.entries[digest]
 	if !ok {
 		dc.misses++
-		if dc.mMisses != nil {
-			dc.mMisses.Inc()
-		}
 		return nil
 	}
 	dc.hits++
-	if dc.mHits != nil {
-		dc.mHits.Inc()
-	}
 	dc.lru.MoveToFront(e)
 	return e.Value.(*decodedEntry).c
 }
@@ -107,7 +80,7 @@ func (dc *DecodedCache) Get(digest uint64) *Capture {
 // its recency: a digest names exact file bytes, so the capture cannot have
 // changed. A capture without its access streams or memory image (an
 // output-only decode) is ignored, so the cache can never hand one to a
-// hierarchy replay.
+// hierarchy replay. perfbench is its last caller.
 func (dc *DecodedCache) Put(digest uint64, c *Capture) {
 	if c == nil || c.Recorder == nil || c.InitialMem == nil {
 		return
@@ -128,12 +101,6 @@ func (dc *DecodedCache) Put(digest uint64, c *Capture) {
 		delete(dc.entries, victim.digest)
 		dc.bytes -= victim.size
 		dc.evictions++
-		if dc.mEvictions != nil {
-			dc.mEvictions.Inc()
-		}
-	}
-	if dc.mBytes != nil {
-		dc.mBytes.Set(dc.bytes)
 	}
 }
 

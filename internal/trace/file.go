@@ -101,7 +101,7 @@ type Capture struct {
 	// FileCRC is in-memory identity metadata, populated by the decoder and
 	// by WriteTo — it is derived from the serialized bytes, never stored in
 	// them. It is the preamble's whole-file CRC64-ECMA (the same value
-	// FileDigest reads from the first 16 bytes, so a cheap preamble probe
+	// FileDigestFS reads from the first 16 bytes, so a cheap preamble probe
 	// can be matched against an already-decoded capture).
 	FileCRC uint64
 }
@@ -567,21 +567,14 @@ func ReadCaptureOutputFileFS(fsys FS, path string) (*Capture, error) {
 	return readCaptureFile(fsys, path, true)
 }
 
-// FileDigest reads just a capture file's 16-byte preamble and returns its
-// whole-file CRC64-ECMA digest. The magic, version and reserved flags are
-// verified, but the sections are not read — this is the cheap identity the
-// sweep server folds into its content-addressed result keys, so a re-recorded
-// (changed) capture lands under a different result-cache key without the
-// server decoding megabytes of trace. It does NOT verify the digest matches
-// the body; consumers that replay the capture still go through the full
-// decode's verification.
-func FileDigest(path string) (uint64, error) {
-	return FileDigestFS(OS, path)
-}
-
-// FileDigestFS is FileDigest on an injected filesystem. Decode failures
-// (bad magic, version, flags, short preamble) wrap ErrCorrupt; failures of
-// the I/O path itself (open, device read errors) do not.
+// FileDigestFS reads just a capture file's 16-byte preamble and returns its
+// whole-file CRC64-ECMA digest, the key DecodedCache files a capture under.
+// The magic, version and reserved flags are verified, but the sections are
+// not read, and the digest is NOT checked against the body; consumers that
+// replay the capture still go through the full decode's verification.
+// Decode failures (bad magic, version, flags, short preamble) wrap
+// ErrCorrupt; failures of the I/O path itself (open, device read errors) do
+// not. perfbench is its last caller.
 func FileDigestFS(fsys FS, path string) (uint64, error) {
 	f, err := fsys.Open(path)
 	if err != nil {

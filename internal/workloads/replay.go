@@ -135,10 +135,6 @@ type CaptureGateway struct {
 	// Capture re-records even over a valid capture; Replay forbids kernel
 	// execution, failing any run without a usable capture.
 	Capture, Replay bool
-	// Decoded, when non-nil, is a decoded-capture cache shared with other
-	// gateways. It serves and keeps the captures a hierarchy replay walks
-	// again; output-only runs never enter it.
-	Decoded *trace.DecodedCache
 	// Metrics receives the trace.replays, trace.records, trace.quarantines
 	// and trace.degraded counts; Logf, when non-nil, a line per decision.
 	Metrics *metrics.Registry
@@ -180,59 +176,38 @@ func (g *CaptureGateway) Run(ctx context.Context, cell CaptureCell, b *Benchmark
 	fsys := g.fs()
 	name, ident, cores := cell.Header.Benchmark, cell.Header.ConfigKey, cell.Header.Cores
 	path := CapturePath(g.Dir, ident)
-	// Output-only runs never rebuild a hierarchy, so they load with the
-	// output-only decode, which skips materializing the memory image and
-	// trace streams. They also stay out of the shared decoded cache: it
-	// holds the captures a hierarchy replay walks again. An ident's
-	// output-only-ness never varies between runs, so the decoded cache
-	// never hands a lite capture to a hierarchy replay.
-	decoded := g.Decoded != nil && !cell.OutputOnly
 	persist := true
 	if !g.Capture {
-		var c *trace.Capture
-		if decoded {
-			// Another gateway (or an earlier run through this one) may
-			// already have decoded this file.
-			if c = g.decodedHit(fsys, path, ident, cores); c != nil {
-				g.logf("[%s] replaying decoded capture %s (%s)", name, filepath.Base(path), cell.Key)
+		// Output-only runs never rebuild a hierarchy, so they load with the
+		// output-only decode, which skips materializing the memory image and
+		// trace streams.
+		c, outcome, err := loadCaptureRecover(fsys, g.Dir, path, ident, cores, cell.OutputOnly)
+		if g.Replay && outcome != loadOK {
+			if err == nil {
+				err = os.ErrNotExist
 			}
+			return nil, fmt.Errorf("workloads: -trace-replay: no usable capture for %s: %w", cell.Key, err)
 		}
-		if c == nil {
-			var outcome loadOutcome
-			var err error
-			c, outcome, err = loadCaptureRecover(fsys, g.Dir, path, ident, cores, cell.OutputOnly)
-			if g.Replay && outcome != loadOK {
-				if err == nil {
-					err = os.ErrNotExist
-				}
-				return nil, fmt.Errorf("workloads: -trace-replay: no usable capture for %s: %w", cell.Key, err)
-			}
-			switch outcome {
-			case loadOK:
-				g.logf("[%s] replaying capture %s (%s)", name, filepath.Base(path), cell.Key)
-				if decoded {
-					g.Decoded.Put(c.FileCRC, c)
-				}
-			case loadMiss:
-				// Cold cache: record below.
-			case loadQuarantined:
-				g.Metrics.Counter("trace.quarantines").Add(1)
-				g.logf("[%s] capture %s unusable (%v); re-recording", name, filepath.Base(path), err)
-			case loadUnavailable:
-				// The bytes may be fine but the I/O path is not: leave the
-				// file alone, run live, and don't trust the store with a
-				// new write either.
-				persist = false
-				g.Metrics.Counter("trace.degraded").Add(1)
-				g.logf("[%s] trace store unavailable (%v); running %s live unrecorded", name, err, cell.Key)
-			}
-		}
-		if c != nil {
+		switch outcome {
+		case loadOK:
+			g.logf("[%s] replaying capture %s (%s)", name, filepath.Base(path), cell.Key)
 			g.Metrics.Counter("trace.replays").Add(1)
 			if cell.OutputOnly {
 				return &RunResult{Output: c.Output}, nil
 			}
 			return ReplayFunctionalContext(ctx, b, c, llcb, opt)
+		case loadMiss:
+			// Cold cache: record below.
+		case loadQuarantined:
+			g.Metrics.Counter("trace.quarantines").Add(1)
+			g.logf("[%s] capture %s unusable (%v); re-recording", name, filepath.Base(path), err)
+		case loadUnavailable:
+			// The bytes may be fine but the I/O path is not: leave the
+			// file alone, run live, and don't trust the store with a
+			// new write either.
+			persist = false
+			g.Metrics.Counter("trace.degraded").Add(1)
+			g.logf("[%s] trace store unavailable (%v); running %s live unrecorded", name, err, cell.Key)
 		}
 	}
 	opt.Record = true
@@ -257,11 +232,6 @@ func (g *CaptureGateway) Run(ctx context.Context, cell CaptureCell, b *Benchmark
 			g.logf("[%s] capture %s not persisted (%v); serving live result", name, filepath.Base(path), err)
 		} else {
 			g.Metrics.Counter("trace.records").Add(1)
-			if decoded {
-				// WriteFileFS stamped c.FileCRC; the freshly recorded
-				// capture is immediately servable to other gateways.
-				g.Decoded.Put(c.FileCRC, c)
-			}
 		}
 	}
 	// The live run already carries every side effect (snapshots, metrics,
@@ -269,41 +239,21 @@ func (g *CaptureGateway) Run(ctx context.Context, cell CaptureCell, b *Benchmark
 	return run, nil
 }
 
-// decodedHit probes the decoded-capture cache for the capture at path. The
-// probe reads only the file's 16-byte digest preamble, and a resident
-// capture is served only if it was recorded under ident and cores; anything
-// else is a miss (nil).
-func (g *CaptureGateway) decodedHit(fsys trace.FS, path, ident string, cores int) *trace.Capture {
-	d, err := trace.FileDigestFS(fsys, path)
-	if err != nil {
+// LoadOutput reads the output vector of the capture recorded under ident
+// with the output-only decode, for a caller that scores against a recorded
+// output without replaying it. Any miss (no directory, cold directory, stale
+// or corrupt capture, storage trouble) returns nil and leaves recovery to a
+// later Run; a quarantined file is counted and moved here, exactly as Run
+// would have. It replays nothing, so it counts no trace.replays.
+func (g *CaptureGateway) LoadOutput(ident string, cores int) []float64 {
+	if g.Dir == "" {
 		return nil
 	}
-	if c := g.Decoded.Get(d); c != nil && c.Header.ConfigKey == ident && c.Header.Cores == cores {
-		return c
-	}
-	return nil
-}
-
-// LoadDecoded serves the fully decoded capture for ident from the decoded
-// cache, falling back to — and populating the cache from — the trace
-// directory. Any miss (no cache, cold directory, stale or corrupt capture,
-// storage trouble) returns nil and leaves recovery to a later Run; a
-// quarantined file is counted and moved here, exactly as Run would have,
-// so net trace.* counters match a run without the shortcut.
-func (g *CaptureGateway) LoadDecoded(ident string, cores int) *trace.Capture {
-	if g.Decoded == nil || g.Dir == "" {
-		return nil
-	}
-	fsys := g.fs()
 	path := CapturePath(g.Dir, ident)
-	if c := g.decodedHit(fsys, path, ident, cores); c != nil {
-		return c
-	}
-	c, outcome, err := loadCaptureRecover(fsys, g.Dir, path, ident, cores, false)
+	c, outcome, err := loadCaptureRecover(g.fs(), g.Dir, path, ident, cores, true)
 	switch outcome {
 	case loadOK:
-		g.Decoded.Put(c.FileCRC, c)
-		return c
+		return c.Output
 	case loadQuarantined:
 		g.Metrics.Counter("trace.quarantines").Add(1)
 		g.logf("capture %s unusable (%v); quarantined for re-recording", filepath.Base(path), err)
