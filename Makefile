@@ -24,13 +24,13 @@
 # drain/resume end to end — and is folded into `race`.
 # `fuzz-smoke` gives each fuzz target a short budget (Go allows one -fuzz
 # pattern per package invocation, hence one line per target).
-# `bench-smoke` runs one iteration of each Evaluation benchmark, plus the
-# per-layer set probe (ns per cache lookup), DGTC decode (MB/s, B/op),
-# timesim (ns per replayed access) and gang handoff (ns per functional
-# access) microbenchmarks, as a cheap liveness check and is folded into
-# `race`. Timing end to end and per layer is perfbench's job:
-# `bash perfbench/run.sh --workload regen-cold|serve-warm ...` (see
-# perfbench/README.md).
+# `bench-smoke` runs one iteration of each per-figure benchmark (each fails
+# if its experiment's render errors), plus the per-layer set probe (ns per
+# cache lookup), DGTC decode (MB/s, B/op), timesim (ns per replayed access)
+# and gang handoff (ns per functional access) microbenchmarks, as a cheap
+# liveness check and is folded into `race`. Timing end to end and per
+# layer is perfbench's job: `bash perfbench/run.sh --workload
+# regen-cold|serve-warm ...` (see perfbench/README.md).
 # `cover` reports per-package statement coverage and enforces the
 # internal/trace floor (the decoder is security-sensitive: 85%) and the
 # internal/server floor (the robustness layer: 80%).

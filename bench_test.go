@@ -14,102 +14,51 @@ import (
 	"doppelganger/internal/bdi"
 	"doppelganger/internal/core"
 	"doppelganger/internal/memdata"
+	"doppelganger/internal/sweep"
 )
 
 // benchScale keeps the per-iteration experiment runs tractable.
 const benchScale = 0.05
 
-func newEval() *Evaluation { return NewEvaluation(benchScale, nil) }
-
-func BenchmarkTable2(b *testing.B) {
+// benchRender renders one experiment per iteration on a fresh Runner, so
+// every iteration pays for the simulations its tables read.
+func benchRender(b *testing.B, name string) {
 	for i := 0; i < b.N; i++ {
-		newEval().Table2()
-	}
-}
-
-func BenchmarkFig2(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		newEval().Fig2()
-	}
-}
-
-func BenchmarkFig7(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		newEval().Fig7()
-	}
-}
-
-func BenchmarkFig8(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		newEval().Fig8()
-	}
-}
-
-func BenchmarkFig9(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		newEval().Fig9()
-	}
-}
-
-func BenchmarkFig10(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		newEval().Fig10()
-	}
-}
-
-func BenchmarkFig11(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		newEval().Fig11()
-	}
-}
-
-func BenchmarkFig12(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		newEval().Fig12()
-	}
-}
-
-func BenchmarkFig13(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		newEval().Fig13()
-	}
-}
-
-func BenchmarkFig14(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		newEval().Fig14()
-	}
-}
-
-func BenchmarkTable3(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		newEval().Table3()
-	}
-}
-
-// BenchmarkGridSerial and BenchmarkGridParallel measure the full dynamic
-// simulation grid (all baselines plus every split/unified error and timing
-// run) computed lazily on one goroutine versus fanned out over the engine's
-// worker pool. On a machine with ≥4 CPUs the parallel run should beat the
-// serial one by at least the number of independent benchmarks' worth of
-// overlap; compare with:
-//
-//	go test -bench 'BenchmarkGrid(Serial|Parallel)' -benchtime 1x .
-func BenchmarkGridSerial(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		ev := newEval()
-		ev.Parallel(1)
-		if err := ev.Prewarm(false); err != nil {
+		if _, err := sweep.NewRunner(benchScale).Render(name); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkGridParallel(b *testing.B) {
+func BenchmarkTable2(b *testing.B) { benchRender(b, "table2") }
+func BenchmarkFig2(b *testing.B)   { benchRender(b, "fig2") }
+func BenchmarkFig7(b *testing.B)   { benchRender(b, "fig7") }
+func BenchmarkFig8(b *testing.B)   { benchRender(b, "fig8") }
+func BenchmarkFig9(b *testing.B)   { benchRender(b, "fig9") }
+func BenchmarkFig10(b *testing.B)  { benchRender(b, "fig10") }
+func BenchmarkFig11(b *testing.B)  { benchRender(b, "fig11") }
+func BenchmarkFig12(b *testing.B)  { benchRender(b, "fig12") }
+func BenchmarkFig13(b *testing.B)  { benchRender(b, "fig13") }
+func BenchmarkFig14(b *testing.B)  { benchRender(b, "fig14") }
+func BenchmarkTable3(b *testing.B) { benchRender(b, "table3") }
+
+// BenchmarkGridSerial and BenchmarkGridParallel measure the full dynamic
+// simulation grid (all baselines plus every split/unified error and timing
+// run) prewarmed by the engine on one worker versus on its default pool of
+// GOMAXPROCS workers. On a machine with ≥4 CPUs the parallel run should
+// beat the serial one by at least the number of independent benchmarks'
+// worth of overlap; compare with:
+//
+//	go test -bench 'BenchmarkGrid(Serial|Parallel)' -benchtime 1x .
+func BenchmarkGridSerial(b *testing.B) { benchGrid(b, 1) }
+
+func BenchmarkGridParallel(b *testing.B) { benchGrid(b, 0) }
+
+func benchGrid(b *testing.B, workers int) {
 	for i := 0; i < b.N; i++ {
-		ev := newEval()
-		ev.Parallel(0) // GOMAXPROCS workers
-		if err := ev.Prewarm(false); err != nil {
+		r := sweep.NewRunner(benchScale)
+		r.Workers = workers
+		if err := r.Prewarm(sweep.FullGrid(false)); err != nil {
 			b.Fatal(err)
 		}
 	}

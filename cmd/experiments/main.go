@@ -8,9 +8,14 @@
 //	experiments -quality-budget 0.05 -canary-rate 0.05 -quality-seed 1 quality
 //	experiments -checkpoint run.jsonl [-resume] [-timeout 2h] [-task-timeout 10m] [-retries 2] all
 //
-// By default the full simulation grid is fanned out over a worker pool
-// (one worker per CPU; -workers overrides) before the tables are rendered
-// in deterministic paper order. -serial skips the parallel engine and
+// The names are the entries of sweep.Experiments; "all" selects the paper's
+// tables and figures, and no name means "all". Flags go before the names:
+// an unknown name (a flag after the names included) or -format exits 2
+// before anything runs.
+//
+// By default the selected experiments' simulation grid is fanned out over a
+// worker pool (one worker per CPU; -workers overrides) before the tables
+// are rendered in list order. -serial skips the parallel engine and
 // computes every simulation lazily on one goroutine; the numbers are
 // bit-identical either way.
 //
@@ -29,7 +34,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
@@ -37,8 +41,19 @@ import (
 	"strings"
 	"syscall"
 
-	"doppelganger"
+	"doppelganger/internal/faults"
+	"doppelganger/internal/metrics"
+	"doppelganger/internal/sweep"
+	"doppelganger/internal/trace"
 )
+
+// formats renders one table in each -format spelling.
+var formats = map[string]func(*sweep.Table) string{
+	"text":  (*sweep.Table).Format,
+	"csv":   func(t *sweep.Table) string { return "# " + t.Title + "\n" + t.FormatCSV() },
+	"json":  (*sweep.Table).FormatJSON,
+	"chart": (*sweep.Table).FormatChart,
+}
 
 func main() {
 	var (
@@ -73,10 +88,6 @@ func main() {
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	)
 	flag.Parse()
-	args := flag.Args()
-	if len(args) == 0 {
-		args = []string{"all"}
-	}
 
 	workersSet := false
 	flag.Visit(func(f *flag.Flag) {
@@ -95,57 +106,69 @@ func main() {
 		TraceCapture:  *traceCapture,
 		TraceReplay:   *traceReplay,
 		TraceVerify:   *traceVerify,
+		Format:        *format,
 	}); err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		os.Exit(2)
 	}
-
-	var log io.Writer = os.Stderr
-	if *quiet {
-		log = nil
-	}
-	ev := doppelganger.NewEvaluation(*scale, log)
-	if *only != "" {
-		ev.Restrict(strings.Split(*only, ",")...)
-	}
-	ev.Parallel(*workers)
-	ev.Resilience(*taskTimeout, *retries)
-
-	model, err := doppelganger.ParseFaultModel(*faultModel)
+	selected, err := selectExperiments(flag.Args())
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		os.Exit(2)
 	}
-	var rates []float64
+	if *resume && *checkpoint == "" {
+		fmt.Fprintln(os.Stderr, "experiments: -resume requires -checkpoint")
+		os.Exit(2)
+	}
+
+	r := sweep.NewRunner(*scale)
+	if !*quiet {
+		r.Log = os.Stderr
+	}
+	if *only != "" {
+		r.Only = strings.Split(*only, ",")
+	}
+	r.Workers = *workers
+	r.TaskTimeout = *taskTimeout
+	r.Retries = *retries
+
+	if r.FaultModel, err = faults.ParseModel(*faultModel); err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+		os.Exit(2)
+	}
 	if *faultRates != "" {
-		if rates, err = parseRates(*faultRates); err != nil {
+		if r.FaultRates, err = parseRates(*faultRates); err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 			os.Exit(2)
 		}
 	}
-	ev.Faults(rates, *faultSeed, model)
-	ev.Quality(*qualityBudget, *canaryRate, *qualitySeed)
+	r.FaultSeed = *faultSeed
+	r.QualityBudget = *qualityBudget
+	r.CanaryRate = *canaryRate
+	r.QualitySeed = *qualitySeed
 	if *traceDir != "" {
 		// Open the store first: lock the directory for the run's lifetime
 		// and scrub it (sweep orphaned temps, quarantine condemned captures)
 		// before any cell trusts its contents.
-		store, err := doppelganger.OpenTraceStore(*traceDir, *traceVerify)
+		mode, err := trace.ParseVerifyMode(*traceVerify)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+			os.Exit(1)
+		}
+		store, err := trace.OpenStore(trace.OS, *traceDir, mode)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 			os.Exit(1)
 		}
 		defer store.Close()
-		if rep := store.Report; log != nil && !rep.Skipped &&
+		if rep := store.Report; !*quiet && !rep.Skipped &&
 			(rep.TempsRemoved > 0 || rep.Quarantined > 0 || rep.Unreadable > 0) {
 			fmt.Fprintf(os.Stderr, "experiments: trace scrub: removed %d temp(s), quarantined %d, %d unreadable (%d verified)\n",
 				rep.TempsRemoved, rep.Quarantined, rep.Unreadable, rep.Verified)
 		}
-		ev.Traces(*traceDir, *traceCapture, *traceReplay)
-	}
-
-	if *resume && *checkpoint == "" {
-		fmt.Fprintln(os.Stderr, "experiments: -resume requires -checkpoint")
-		os.Exit(2)
+		r.TraceDir = *traceDir
+		r.TraceCapture = *traceCapture
+		r.TraceReplay = *traceReplay
 	}
 
 	// The run context: SIGINT/SIGTERM and -timeout all funnel into one
@@ -166,7 +189,10 @@ func main() {
 		}()
 	}
 	if *metricsOut != "" {
-		ev.CollectMetrics()
+		// Per-task snapshots as well as the total: perfbench's traced drive
+		// reads them.
+		r.Metrics = metrics.NewRegistry()
+		r.TaskMetrics = true
 	}
 	var finishTrace func() error
 	if *traceOut != "" {
@@ -175,9 +201,10 @@ func main() {
 			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 			os.Exit(1)
 		}
-		finish := ev.TraceTo(tf)
+		tw := metrics.NewTraceWriter(tf)
+		r.Trace = tw
 		finishTrace = func() error {
-			if err := finish(); err != nil {
+			if err := tw.Close(); err != nil {
 				return err
 			}
 			return tf.Close()
@@ -185,14 +212,19 @@ func main() {
 	}
 	var finishCheckpoint func() error
 	if *checkpoint != "" {
-		finishCheckpoint, err = ev.CheckpointTo(*checkpoint, *resume)
+		cp, err := sweep.OpenCheckpoint(*checkpoint, *resume)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 			os.Exit(1)
 		}
-		for _, w := range ev.CheckpointWarnings() {
+		r.Checkpoint = cp
+		if *resume {
+			r.Resume(cp)
+		}
+		for _, w := range cp.Warnings() {
 			fmt.Fprintf(os.Stderr, "experiments: checkpoint: %s\n", w)
 		}
+		finishCheckpoint = cp.Close
 	}
 
 	// flush persists whatever has completed — called on success AND on
@@ -202,7 +234,7 @@ func main() {
 			if mf, err := os.Create(*metricsOut); err != nil {
 				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 			} else {
-				if err := ev.WriteMetrics(mf); err != nil {
+				if err := r.WriteMetricsJSONL(mf); err != nil {
 					fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 				}
 				mf.Close()
@@ -228,113 +260,27 @@ func main() {
 		os.Exit(1)
 	}
 
-	order := []string{"table2", "fig2", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "table3", "extras", "faults", "quality"}
-	want := map[string]bool{}
-	for _, a := range args {
-		if a == "all" {
-			// "all" covers the paper's tables and figures; the extras, faults
-			// and quality tables are requested explicitly.
-			for _, o := range order {
-				if o != "extras" && o != "faults" && o != "quality" {
-					want[o] = true
-				}
-			}
-			continue
-		}
-		want[strings.ToLower(a)] = true
-	}
-
-	// Fan the requested experiments' simulation grid out over the engine up
-	// front; the emit loop below then renders from warm caches in paper
-	// order.
-	var wanted []string
+	// Fan the selected experiments' simulation grid out over the engine up
+	// front; the loop below then renders from warm caches in list order.
+	var names []string
 	dynamic := false
-	for _, o := range order {
-		if want[o] {
-			wanted = append(wanted, o)
-			if o != "table3" && o != "fig13" {
-				dynamic = true
-			}
-		}
+	for _, e := range selected {
+		names = append(names, e.Name)
+		dynamic = dynamic || e.Grid != nil
 	}
 	if dynamic && !*serial {
-		if err := ev.PrewarmForContext(ctx, wanted...); err != nil {
+		if err := r.PrewarmContext(ctx, sweep.GridFor(names...)); err != nil {
 			fail(err)
 		}
 	}
-
-	emit := func(ts ...*doppelganger.Table) {
-		for _, t := range ts {
-			switch *format {
-			case "csv":
-				fmt.Printf("# %s\n%s\n", t.Title, t.FormatCSV())
-			case "json":
-				fmt.Println(t.FormatJSON())
-			case "chart":
-				fmt.Println(t.FormatChart())
-			default:
-				fmt.Println(t.Format())
-			}
-		}
-	}
-	emitErr := func(err error, ts ...*doppelganger.Table) {
+	for _, e := range selected {
+		tables, err := r.Render(e.Name)
 		if err != nil {
 			fail(err)
 		}
-		emit(ts...)
-	}
-	ran := 0
-	for _, name := range order {
-		if !want[name] {
-			continue
+		for _, t := range tables {
+			fmt.Println(formats[*format](t))
 		}
-		ran++
-		switch name {
-		case "table2":
-			t, err := ev.Table2()
-			emitErr(err, t)
-		case "fig2":
-			t, err := ev.Fig2()
-			emitErr(err, t)
-		case "fig7":
-			t, err := ev.Fig7()
-			emitErr(err, t)
-		case "fig8":
-			t, err := ev.Fig8()
-			emitErr(err, t)
-		case "fig9":
-			a, b, err := ev.Fig9()
-			emitErr(err, a, b)
-		case "fig10":
-			a, b, err := ev.Fig10()
-			emitErr(err, a, b)
-		case "fig11":
-			a, b, err := ev.Fig11()
-			emitErr(err, a, b)
-		case "fig12":
-			t, err := ev.Fig12()
-			emitErr(err, t)
-		case "fig13":
-			emit(ev.Fig13())
-		case "fig14":
-			a, b, c, err := ev.Fig14()
-			emitErr(err, a, b, c)
-		case "table3":
-			emit(ev.Table3())
-		case "extras":
-			t, err := ev.Extras()
-			emitErr(err, t)
-		case "faults":
-			t, err := ev.FaultSweep()
-			emitErr(err, t)
-		case "quality":
-			a, b, err := ev.QualitySweep()
-			emitErr(err, a, b)
-		}
-	}
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "experiments: nothing matched %v (known: %s, all)\n", args, strings.Join(order, ", "))
-		os.Exit(2)
 	}
 	flush()
 }

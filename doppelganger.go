@@ -8,7 +8,7 @@
 // the same map-space bin) with a single data array entry, shrinking the
 // data array several-fold with little application-level error.
 //
-// The package exposes four layers:
+// The package exposes three layers:
 //
 //   - Cache organizations: NewBaselineLLC, NewDoppelganger (with
 //     DoppelgangerConfig / UniDoppelgangerConfig), NewSplitLLC — functional
@@ -18,7 +18,9 @@
 //   - Simulation: RunBenchmark executes one of the paper's nine workloads
 //     against an LLC organization and reports output error; RunTiming
 //     replays its traces cycle-accurately (§4).
-//   - Evaluation: NewEvaluation reproduces every table and figure of §5.
+//
+// The cmd/experiments command regenerates every table and figure of the
+// evaluation (§5).
 //
 // See README.md for a walkthrough, DESIGN.md for the system inventory, and
 // EXPERIMENTS.md for paper-vs-measured results.
@@ -30,7 +32,6 @@ import (
 	"io"
 	"strings"
 	"sync"
-	"time"
 
 	"doppelganger/internal/approx"
 	"doppelganger/internal/cache"
@@ -75,8 +76,6 @@ type (
 	TimingConfig = timesim.Config
 	// TimingResult is the outcome of a cycle-level run.
 	TimingResult = timesim.Result
-	// Table is a formatted experiment result.
-	Table = sweep.Table
 	// MetricsRegistry aggregates named counters/gauges/histograms from every
 	// instrumented layer; nil disables collection at zero cost.
 	MetricsRegistry = metrics.Registry
@@ -567,118 +566,7 @@ func UnifiedHardware(mapBits int, dataFrac float64) HardwareOrg {
 	return energy.UnifiedOrg(sweep.UnifiedConfig(mapBits, dataFrac), 4)
 }
 
-// --- evaluation harness ---
-
-// Evaluation regenerates the paper's tables and figures. Experiments share
-// and memoize baseline runs, so asking for several figures in one
-// Evaluation is much cheaper than separate ones. Prewarm fans the whole
-// simulation grid out over a worker pool first; the table methods then
-// format already-computed results, with values bit-identical to a serial
-// run.
-type Evaluation struct{ r *sweep.Runner }
-
-// NewEvaluation builds an evaluation at the given workload scale (1 = paper
-// scale). log may be nil.
-func NewEvaluation(scale float64, log io.Writer) *Evaluation {
-	r := sweep.NewRunner(scale)
-	r.Log = log
-	return &Evaluation{r: r}
-}
-
-// Restrict limits the suite to the named benchmarks.
-func (e *Evaluation) Restrict(names ...string) { e.r.Only = names }
-
-// Parallel sets the maximum number of concurrent simulations Prewarm may
-// run (0, the default, means GOMAXPROCS).
-func (e *Evaluation) Parallel(workers int) { e.r.Workers = workers }
-
-// CollectMetrics enables the observability layer for every simulation this
-// evaluation performs: per-level cache hits/misses/evictions, MSI transition
-// counts, Doppelgänger substitution and occupancy instruments, core-model
-// stalls — aggregated across tasks and also snapshotted per task. Call
-// before running experiments; WriteMetrics dumps the result.
-func (e *Evaluation) CollectMetrics() {
-	if e.r.Metrics == nil {
-		e.r.Metrics = metrics.NewRegistry()
-	}
-	e.r.TaskMetrics = true
-}
-
-// WriteMetrics writes one JSON object per line: every per-task counter
-// snapshot (sorted by task label), then the evaluation-wide aggregate under
-// the task label "total". A no-op unless CollectMetrics was called.
-func (e *Evaluation) WriteMetrics(w io.Writer) error { return e.r.WriteMetricsJSONL(w) }
-
-// TraceTo streams Chrome-trace-format JSON (loadable in chrome://tracing or
-// Perfetto) to w: every timing run gets its own process lane, one thread per
-// simulated core, with LLC/memory operations as duration events and
-// back-invalidation bursts as instants. Call the returned function after the
-// experiments finish to terminate the JSON envelope.
-func (e *Evaluation) TraceTo(w io.Writer) (finish func() error) {
-	tw := metrics.NewTraceWriter(w)
-	e.r.Trace = tw
-	return tw.Close
-}
-
-// Resilience configures the experiment engine's failure handling: a
-// per-task deadline (0 disables) and a bounded retry budget per failed task
-// (failures are forgotten by the memo caches, so retries genuinely
-// recompute). A panicking simulation always fails only its own task.
-func (e *Evaluation) Resilience(taskTimeout time.Duration, retries int) {
-	e.r.TaskTimeout = taskTimeout
-	e.r.Retries = retries
-}
-
-// Faults configures the fault-sweep experiment: the per-access rates to
-// evaluate (nil: 1e-6, 1e-5, 1e-4), the global seed every task derives its
-// injector stream from, and the fault model. Results are deterministic in
-// (rates, seed, model) at any worker count.
-func (e *Evaluation) Faults(rates []float64, seed uint64, model FaultModel) {
-	e.r.FaultRates = rates
-	e.r.FaultSeed = seed
-	e.r.FaultModel = model
-}
-
-// CheckpointTo persists every completed simulation result to the JSONL file
-// at path as it finishes. With resume set, records already in the file are
-// loaded first and their tasks are skipped bit-identically; a file written
-// by an incompatible schema version is rejected with an error. The returned
-// finish function flushes and closes the file.
-func (e *Evaluation) CheckpointTo(path string, resume bool) (finish func() error, err error) {
-	cp, err := sweep.OpenCheckpoint(path, resume)
-	if err != nil {
-		return nil, err
-	}
-	e.r.Checkpoint = cp
-	if resume {
-		e.r.Resume(cp)
-	}
-	return cp.Close, nil
-}
-
-// CheckpointWarnings reports the recoverable oddities the checkpoint loader
-// tolerated (duplicate keys, torn trailing lines, unknown record kinds).
-// Empty until CheckpointTo has run, and for clean files.
-func (e *Evaluation) CheckpointWarnings() []string {
-	if e.r.Checkpoint == nil {
-		return nil
-	}
-	return e.r.Checkpoint.Warnings()
-}
-
-// Traces enables the evaluation's persistent trace cache in dir: every
-// functional cell (baseline, split, unified, custom, fault, quality)
-// records a capture file on its first live run and replays it on later
-// sweeps over the same directory, executing zero kernels when the cache is
-// warm. capture forces re-recording over valid captures; replay forbids
-// kernel execution, failing any cell without a valid capture. Captures are
-// identity-checked (benchmark, scale, cores, seeds, knobs) and re-recorded
-// when stale; results are bit-identical to live runs either way.
-func (e *Evaluation) Traces(dir string, capture, replay bool) {
-	e.r.TraceDir = dir
-	e.r.TraceCapture = capture
-	e.r.TraceReplay = replay
-}
+// --- trace store ---
 
 // TraceStore is an opened, locked, scrubbed trace directory (see
 // OpenTraceStore); TraceScrubReport is what its startup janitor did.
@@ -703,92 +591,3 @@ func OpenTraceStore(dir, verify string) (*TraceStore, error) {
 	}
 	return trace.OpenStore(trace.OS, dir, mode)
 }
-
-// Prewarm runs every simulation the paper's tables and figures need
-// (plus the extras grid when extras is true) through the parallel
-// experiment engine, respecting baseline-before-variant dependencies.
-// Safe to skip: the table methods compute lazily (and serially) on miss.
-func (e *Evaluation) Prewarm(extras bool) error {
-	return e.r.Prewarm(sweep.FullGrid(extras))
-}
-
-// PrewarmContext is Prewarm under a cancellable context: cancellation stops
-// scheduling new tasks, interrupts in-flight simulations, and returns after
-// every worker drains — completed results stay cached (and checkpointed),
-// so a later run resumes where this one stopped.
-func (e *Evaluation) PrewarmContext(ctx context.Context, extras bool) error {
-	return e.r.PrewarmContext(ctx, sweep.FullGrid(extras))
-}
-
-// PrewarmFor is Prewarm restricted to the simulations the named experiments
-// (table2, fig2 … fig14, table3, extras, faults, quality) actually render;
-// unknown names widen to the full grid.
-func (e *Evaluation) PrewarmFor(names ...string) error {
-	return e.r.Prewarm(sweep.GridFor(names...))
-}
-
-// PrewarmForContext is PrewarmFor under a cancellable context.
-func (e *Evaluation) PrewarmForContext(ctx context.Context, names ...string) error {
-	return e.r.PrewarmContext(ctx, sweep.GridFor(names...))
-}
-
-// Table2 is the approximate LLC footprint per benchmark.
-func (e *Evaluation) Table2() (*Table, error) { return e.r.Table2() }
-
-// Table3 is the hardware cost table (static — never fails).
-func (e *Evaluation) Table3() *Table { return e.r.Table3() }
-
-// Fig2 is storage savings vs element-wise threshold T.
-func (e *Evaluation) Fig2() (*Table, error) { return e.r.Fig2() }
-
-// Fig7 is storage savings vs map space size.
-func (e *Evaluation) Fig7() (*Table, error) { return e.r.Fig7() }
-
-// Fig8 compares against BΔI and exact deduplication.
-func (e *Evaluation) Fig8() (*Table, error) { return e.r.Fig8() }
-
-// Fig9 is output error and normalized runtime vs map space size.
-func (e *Evaluation) Fig9() (errT, runT *Table, err error) { return e.r.Fig9() }
-
-// Fig10 is output error and normalized runtime vs data array size.
-func (e *Evaluation) Fig10() (errT, runT *Table, err error) { return e.r.Fig10() }
-
-// Fig11 is LLC dynamic and leakage energy reduction.
-func (e *Evaluation) Fig11() (dynT, leakT *Table, err error) { return e.r.Fig11() }
-
-// Fig12 is normalized off-chip memory traffic.
-func (e *Evaluation) Fig12() (*Table, error) { return e.r.Fig12() }
-
-// Fig13 is LLC area reduction (static — never fails).
-func (e *Evaluation) Fig13() *Table { return e.r.Fig13() }
-
-// Fig14 is uniDoppelgänger error, runtime and dynamic energy.
-func (e *Evaluation) Fig14() (errT, runT, dynT *Table, err error) { return e.r.Fig14() }
-
-// Extras evaluates this repository's extensions beyond the paper:
-// alternative similarity hashes, tag-count-aware replacement, and the
-// BΔI-compressed data array.
-func (e *Evaluation) Extras() (*Table, error) { return e.r.Extras() }
-
-// FaultSweep renders output error vs per-access fault rate for the
-// baseline, Doppelgänger and uniDoppelgänger organizations under the
-// configured fault model (see Faults) — how gracefully each organization
-// degrades when the memory system itself misbehaves.
-func (e *Evaluation) FaultSweep() (*Table, error) { return e.r.FaultSweep() }
-
-// Quality configures the quality-sweep experiment: the guard's output-error
-// budget (0: 5%), its canary sampling rate (0: 5%), and the global seed every
-// guarded task derives its sampling stream from. The fault rates and model
-// come from Faults. Results are deterministic at any worker count.
-func (e *Evaluation) Quality(budget, canaryRate float64, seed uint64) {
-	e.r.QualityBudget = budget
-	e.r.CanaryRate = canaryRate
-	e.r.QualitySeed = seed
-}
-
-// QualitySweep renders the quality-guard experiment: true output error with
-// the guard off versus on (plus the guard's own estimate, canary overhead and
-// breaker history) and normalized runtime with the guard off versus on, per
-// benchmark, guarded organization and fault rate — what graceful degradation
-// to precise LLC behaviour costs and saves.
-func (e *Evaluation) QualitySweep() (errT, runT *Table, err error) { return e.r.QualitySweep() }

@@ -3,6 +3,8 @@ package doppelganger
 import (
 	"strings"
 	"testing"
+
+	"doppelganger/internal/sweep"
 )
 
 func TestBenchmarksList(t *testing.T) {
@@ -81,22 +83,26 @@ func TestEvaluationSmallScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
 	}
-	ev := NewEvaluation(0.05, nil)
-	ev.Restrict("inversek2j")
-	t2, err := ev.Table2()
-	if err != nil {
-		t.Fatal(err)
+	r := sweep.NewRunner(0.05)
+	r.Only = []string{"inversek2j"}
+	render := func(name string) *sweep.Table {
+		ts, err := r.Render(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ts) != 1 {
+			t.Fatalf("%s rendered %d tables", name, len(ts))
+		}
+		return ts[0]
 	}
+	t2 := render("table2")
 	if len(t2.Rows) != 1 {
 		t.Fatalf("rows = %d", len(t2.Rows))
 	}
 	if !strings.Contains(t2.Rows[0][1], "%") {
 		t.Errorf("footprint cell = %q", t2.Rows[0][1])
 	}
-	f7, err := ev.Fig7()
-	if err != nil {
-		t.Fatal(err)
-	}
+	f7 := render("fig7")
 	if len(f7.Columns) != 4 {
 		t.Errorf("fig7 columns = %v", f7.Columns)
 	}

@@ -38,16 +38,9 @@ type Cell struct {
 	Rate  float64 `json:"rate,omitempty"`
 	// Guarded selects guard-on vs guard-off for quality-timing.
 	Guarded bool `json:"guarded,omitempty"`
-	// Figure names the table for Kind "figure": table2, fig2, fig7..fig14,
-	// table3, extras, faults, quality.
+	// Figure names the experiment for Kind "figure": the Name of an entry
+	// of sweep.Experiments.
 	Figure string `json:"figure,omitempty"`
-}
-
-// figureNames are the Kind "figure" jobs the server accepts.
-var figureNames = map[string]bool{
-	"table2": true, "fig2": true, "fig7": true, "fig8": true, "fig9": true,
-	"fig10": true, "fig11": true, "fig12": true, "fig13": true, "fig14": true,
-	"table3": true, "extras": true, "faults": true, "quality": true,
 }
 
 func inList(s string, list []string) bool {
@@ -103,7 +96,7 @@ func (c Cell) Validate() error {
 		}
 	case "baseline-timing":
 	case "figure":
-		if !figureNames[c.Figure] {
+		if _, ok := sweep.ExperimentByName(c.Figure); !ok {
 			return fmt.Errorf("cell figure %q unknown", c.Figure)
 		}
 	default:
@@ -237,108 +230,20 @@ func executeCell(ctx context.Context, r *sweep.Runner, c Cell) ([]byte, error) {
 		}
 		p.Quality = q
 	case "figure":
-		tables, err := figureTables(r, c.Figure)
+		// A figure job computes its missing cells serially inside the runner
+		// (no per-cell cancellation), so it is the coarse-grained end of the
+		// job spectrum; the drain timeout still bounds it.
+		tables, err := r.Render(c.Figure)
 		if err != nil {
 			return nil, err
 		}
-		p.Tables = tables
+		for _, t := range tables {
+			p.Tables = append(p.Tables, json.RawMessage(t.FormatJSON()))
+		}
 	default:
 		return nil, fmt.Errorf("server: cell kind %q unknown", c.Kind)
 	}
 	return json.Marshal(p)
-}
-
-// figureTables renders one whole experiment table set. Figure jobs compute
-// their missing cells serially inside the runner (no per-cell cancellation),
-// so they are the coarse-grained end of the job spectrum; the drain timeout
-// still bounds them.
-func figureTables(r *sweep.Runner, name string) ([]json.RawMessage, error) {
-	collect := func(tables ...*sweep.Table) []json.RawMessage {
-		out := make([]json.RawMessage, len(tables))
-		for i, t := range tables {
-			out[i] = json.RawMessage(t.FormatJSON())
-		}
-		return out
-	}
-	switch name {
-	case "table2":
-		t, err := r.Table2()
-		if err != nil {
-			return nil, err
-		}
-		return collect(t), nil
-	case "fig2":
-		t, err := r.Fig2()
-		if err != nil {
-			return nil, err
-		}
-		return collect(t), nil
-	case "fig7":
-		t, err := r.Fig7()
-		if err != nil {
-			return nil, err
-		}
-		return collect(t), nil
-	case "fig8":
-		t, err := r.Fig8()
-		if err != nil {
-			return nil, err
-		}
-		return collect(t), nil
-	case "fig9":
-		a, b, err := r.Fig9()
-		if err != nil {
-			return nil, err
-		}
-		return collect(a, b), nil
-	case "fig10":
-		a, b, err := r.Fig10()
-		if err != nil {
-			return nil, err
-		}
-		return collect(a, b), nil
-	case "fig11":
-		a, b, err := r.Fig11()
-		if err != nil {
-			return nil, err
-		}
-		return collect(a, b), nil
-	case "fig12":
-		t, err := r.Fig12()
-		if err != nil {
-			return nil, err
-		}
-		return collect(t), nil
-	case "fig13":
-		return collect(r.Fig13()), nil
-	case "fig14":
-		a, b, c, err := r.Fig14()
-		if err != nil {
-			return nil, err
-		}
-		return collect(a, b, c), nil
-	case "table3":
-		return collect(r.Table3()), nil
-	case "extras":
-		t, err := r.Extras()
-		if err != nil {
-			return nil, err
-		}
-		return collect(t), nil
-	case "faults":
-		t, err := r.FaultSweep()
-		if err != nil {
-			return nil, err
-		}
-		return collect(t), nil
-	case "quality":
-		a, b, err := r.QualitySweep()
-		if err != nil {
-			return nil, err
-		}
-		return collect(a, b), nil
-	}
-	return nil, fmt.Errorf("server: figure %q unknown", name)
 }
 
 // Result is the envelope a completed job returns: the deterministic payload

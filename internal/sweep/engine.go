@@ -45,33 +45,31 @@ func FullGrid(extras bool) Grid {
 	return Grid{MapSpaces: MapSpaces, DataFracs: DataFracs, UniFracs: UniFracs, Extras: extras}
 }
 
-// GridFor returns the smallest grid covering the named experiments (table2,
-// fig2 … fig14, table3, extras, faults), so a partial run only simulates
-// what its tables render. Unknown names conservatively widen to the full
-// grid.
+// GridFor returns the smallest grid covering the named entries of
+// Experiments, so a partial run only simulates what its tables render.
+// Unknown names conservatively widen to the full grid.
 func GridFor(names ...string) Grid {
 	var g Grid
 	for _, n := range names {
-		switch n {
-		case "table2", "fig2", "fig7", "fig8":
-			// Rendered from the baseline artifacts alone.
-		case "fig9":
-			g.MapSpaces = MapSpaces
-		case "fig10", "fig11", "fig12":
-			g.DataFracs = DataFracs
-		case "fig14":
-			g.UniFracs = UniFracs
-		case "extras":
-			g.Extras = true
-		case "faults":
-			g.Faults = true
-		case "quality":
-			g.Quality = true
-		case "fig13", "table3":
-			// Static hardware-model tables; no simulations.
-		default:
+		e, ok := ExperimentByName(n)
+		if !ok {
 			return FullGrid(true)
 		}
+		if e.Grid == nil {
+			continue
+		}
+		if e.Grid.MapSpaces != nil {
+			g.MapSpaces = e.Grid.MapSpaces
+		}
+		if e.Grid.DataFracs != nil {
+			g.DataFracs = e.Grid.DataFracs
+		}
+		if e.Grid.UniFracs != nil {
+			g.UniFracs = e.Grid.UniFracs
+		}
+		g.Extras = g.Extras || e.Grid.Extras
+		g.Faults = g.Faults || e.Grid.Faults
+		g.Quality = g.Quality || e.Grid.Quality
 	}
 	return g
 }

@@ -17,62 +17,22 @@ var update = flag.Bool("update", false, "rebless the golden table files in testd
 // runs, worker counts, and -serial.
 const goldenScale = 0.05
 
-// renderFull renders every paper table/figure in the exact order and format
-// cmd/experiments emits for "all".
+// renderFull renders every entry "all" selects, in list order and the text
+// format cmd/experiments prints.
 func renderFull(r *Runner) (string, error) {
 	var b strings.Builder
-	emit := func(ts ...*Table) {
+	for _, e := range Experiments {
+		if !e.InAll {
+			continue
+		}
+		ts, err := r.Render(e.Name)
+		if err != nil {
+			return "", err
+		}
 		for _, t := range ts {
 			fmt.Fprintln(&b, t.Format())
 		}
 	}
-	t2, err := r.Table2()
-	if err != nil {
-		return "", err
-	}
-	emit(t2)
-	f2, err := r.Fig2()
-	if err != nil {
-		return "", err
-	}
-	emit(f2)
-	f7, err := r.Fig7()
-	if err != nil {
-		return "", err
-	}
-	emit(f7)
-	f8, err := r.Fig8()
-	if err != nil {
-		return "", err
-	}
-	emit(f8)
-	a9, b9, err := r.Fig9()
-	if err != nil {
-		return "", err
-	}
-	emit(a9, b9)
-	a10, b10, err := r.Fig10()
-	if err != nil {
-		return "", err
-	}
-	emit(a10, b10)
-	a11, b11, err := r.Fig11()
-	if err != nil {
-		return "", err
-	}
-	emit(a11, b11)
-	f12, err := r.Fig12()
-	if err != nil {
-		return "", err
-	}
-	emit(f12)
-	emit(r.Fig13())
-	a14, b14, c14, err := r.Fig14()
-	if err != nil {
-		return "", err
-	}
-	emit(a14, b14, c14)
-	emit(r.Table3())
 	return b.String(), nil
 }
 
