@@ -18,10 +18,11 @@
 # filesystem — and is folded into `race`; the full 50-round soak is
 # `go run ./cmd/chaossoak -out BENCH_9.json`.
 # `server-smoke` proves the sweep server's robustness layer under the race
-# detector — memoized dispatch, shard failover, breaker quarantine, the
-# chaos exactly-once/bit-identical proof, the trace-dir round trip with its
-# memo hit after recording, the trace-cache leak tests, and the sweepd
-# drain/resume end to end — and is folded into `race`.
+# detector — the memoized compute, the chaos exactly-once/bit-identical
+# proof, a failed cell that fails alone, queue shedding that spares memo
+# hits, the trace-dir round trip with its memo hit after recording, the
+# trace-cache leak tests, and the sweepd drain/resume end to end with its
+# failed-state-write exit — and is folded into `race`.
 # `fuzz-smoke` gives each fuzz target a short budget (Go allows one -fuzz
 # pattern per package invocation, hence one line per target).
 # `bench-smoke` runs one iteration of each per-figure benchmark (each fails
@@ -70,9 +71,9 @@ quality-smoke:
 	$(GO) test -race -run 'TestBreakerProperty|TestBreakerDeterminism' ./internal/quality/
 
 server-smoke:
-	$(GO) test -race -run 'TestSubmitMemoizesAndMatchesSerial|TestKillShardFailsOver|TestBreakerQuarantinesShard|TestChaosExactlyOnceBitIdentical|TestDrainSnapshotsPending|TestHTTPEndpoints|TestServerTraceRoundTrip' ./internal/server/
+	$(GO) test -race -run 'TestSubmitMemoizesAndMatchesSerial|TestChaosExactlyOnceBitIdentical|TestFailedCellRefusesNoOther|TestQueueSheds|TestDrainSnapshotsPending|TestHTTPEndpoints|TestServerTraceRoundTrip' ./internal/server/
 	$(GO) test -race -run 'TestTraceCacheConcurrentCancelNoLeak|TestTraceCacheForgottenErrorUnderConcurrency' ./internal/sweep/
-	$(GO) test -run 'TestDrainResumeByteIdentical' ./cmd/sweepd/
+	$(GO) test -run 'TestDrainResumeByteIdentical|TestDrainStateWriteFailureExits1' ./cmd/sweepd/
 
 trace-smoke:
 	$(GO) test -race -cpu 1,4 -run 'TestTraceSmoke|TestTraceReplayRequiresCapture|TestTracePersistFailureDegradesLive|TestWarmErrorCellsReplayNothing' ./internal/sweep/

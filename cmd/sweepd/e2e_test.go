@@ -40,6 +40,16 @@ type sweepdProc struct {
 	done chan error
 }
 
+// buildSweepd builds the binary into dir.
+func buildSweepd(t *testing.T, dir string) string {
+	t.Helper()
+	bin := filepath.Join(dir, "sweepd")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("build: %v\n%s", err, out)
+	}
+	return bin
+}
+
 // startSweepd launches the built binary on an ephemeral port and scrapes the
 // resolved address from the listening line.
 func startSweepd(t *testing.T, bin string, extra ...string) *sweepdProc {
@@ -47,7 +57,6 @@ func startSweepd(t *testing.T, bin string, extra ...string) *sweepdProc {
 	args := append([]string{
 		"-addr", "127.0.0.1:0",
 		"-scale", "0.02", "-only", "kmeans", "-quiet",
-		"-shards", "2", "-shard-workers", "1",
 		"-seed", "5", "-quality-seed", "7",
 	}, extra...)
 	cmd := exec.Command(bin, args...)
@@ -140,10 +149,7 @@ func TestDrainResumeByteIdentical(t *testing.T) {
 		t.Skip("relies on SIGTERM delivery")
 	}
 	dir := t.TempDir()
-	bin := filepath.Join(dir, "sweepd")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("build: %v\n%s", err, out)
-	}
+	bin := buildSweepd(t, dir)
 
 	// Reference: every cell through an uninterrupted server.
 	want := map[string][]byte{}
@@ -158,9 +164,9 @@ func TestDrainResumeByteIdentical(t *testing.T) {
 	ref.terminate(t)
 
 	// Interrupted run: fire the whole grid concurrently, SIGTERM as soon as
-	// the first response lands (the rest are still queued or in flight on the
-	// single-worker shards). A short drain timeout forces a real snapshot of
-	// the stragglers instead of waiting them out.
+	// the first response lands (the rest are still waiting for a run slot or
+	// computing). A short drain timeout forces a real snapshot of the
+	// stragglers instead of waiting them out.
 	cp := filepath.Join(dir, "cp.jsonl")
 	state := filepath.Join(dir, "state.json")
 	victim := startSweepd(t, bin, "-checkpoint", cp, "-state", state, "-drain-timeout", "50ms")
@@ -226,9 +232,9 @@ func TestDrainResumeByteIdentical(t *testing.T) {
 // TestValidateOptions covers the flag guards unique to sweepd.
 func TestValidateOptions(t *testing.T) {
 	good := sweepdOptions{
-		Scale: 0.1, Cores: 4, Shards: 2, ShardWorkers: 2, QueueDepth: 64,
+		Scale: 0.1, Cores: 4, MaxQueue: 128,
 		AdmitRate: 100, AdmitBurst: 10, JobTimeout: time.Minute,
-		RetryBackoff: time.Millisecond, DrainTimeout: time.Second,
+		DrainTimeout:  time.Second,
 		QualityBudget: 0.05, CanaryRate: 0.05,
 	}
 	if err := validateOptions(good); err != nil {
@@ -240,13 +246,8 @@ func TestValidateOptions(t *testing.T) {
 		want   string
 	}{
 		{"scale", func(o *sweepdOptions) { o.Scale = 0 }, "-scale"},
-		{"shards", func(o *sweepdOptions) { o.Shards = 0 }, "-shards"},
-		{"workers", func(o *sweepdOptions) { o.ShardWorkers = 0 }, "-shard-workers"},
-		{"queue", func(o *sweepdOptions) { o.QueueDepth = 0 }, "-queue-depth"},
-		{"retries", func(o *sweepdOptions) { o.Retries = -1 }, "-retries"},
 		{"job timeout", func(o *sweepdOptions) { o.JobTimeout = 0 }, "-job-timeout"},
 		{"drain timeout", func(o *sweepdOptions) { o.DrainTimeout = -time.Second }, "-drain-timeout"},
-		{"hedge", func(o *sweepdOptions) { o.HedgeAfter = -time.Second }, "-hedge-after"},
 		{"canary", func(o *sweepdOptions) { o.CanaryRate = 1.5 }, "-canary-rate"},
 		{"trace replay without dir", func(o *sweepdOptions) { o.TraceReplay = true }, "-trace-dir"},
 		{"bad trace verify", func(o *sweepdOptions) { o.TraceVerify = "sometimes" }, "-trace-verify"},
@@ -266,5 +267,60 @@ func TestValidateOptions(t *testing.T) {
 	}
 	if !errors.Is(func() error { o := good; o.Resume = true; return validateOptions(o) }(), errResumeNeedsFile) {
 		t.Error("resume without files: wrong error identity")
+	}
+}
+
+// TestDrainStateWriteFailureExits1: a drain whose state file cannot be
+// written has lost track of its pending cells, so sweepd must say so and
+// exit 1, not report a snapshot it never made and exit 0.
+func TestDrainStateWriteFailureExits1(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the binary")
+	}
+	if runtime.GOOS == "windows" {
+		t.Skip("relies on SIGTERM delivery")
+	}
+	dir := t.TempDir()
+	state := filepath.Join(dir, "missing", "state.json")
+	p := startSweepd(t, buildSweepd(t, dir), "-state", state)
+	// An answered request means sweepd is serving, so its drain handler is
+	// installed.
+	resp, err := http.Get("http://" + p.addr + "/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	p.cmd.Process.Signal(syscall.SIGTERM)
+	select {
+	case err := <-p.done:
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Fatalf("sweepd exited %v after failing to write %s, want exit status 1", err, state)
+		}
+	case <-time.After(60 * time.Second):
+		p.cmd.Process.Kill()
+		t.Fatal("sweepd did not exit within 60s of SIGTERM")
+	}
+}
+
+// TestDrainReport pins where the drain log says pending cells went.
+func TestDrainReport(t *testing.T) {
+	cases := []struct {
+		left  int
+		state string
+		err   error
+		want  string
+		ok    bool
+	}{
+		{0, "s.json", nil, "all in-flight jobs completed", true},
+		{2, "s.json", nil, "2 cell(s) still pending, snapshotted to s.json", true},
+		{2, "", nil, "2 cell(s) still pending, dropped (no -state file)", true},
+		{2, "s.json", errors.New("disk full"), "state file not written, 2 pending cell(s) lost: disk full", false},
+	}
+	for _, tc := range cases {
+		msg, ok := drainReport(tc.left, tc.state, tc.err)
+		if !strings.Contains(msg, tc.want) || ok != tc.ok {
+			t.Errorf("drainReport(%d, %q, %v) = %q, %v; want %q, %v", tc.left, tc.state, tc.err, msg, ok, tc.want, tc.ok)
+		}
 	}
 }

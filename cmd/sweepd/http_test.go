@@ -19,7 +19,7 @@ import (
 // meanwhile still answers. The body's deadline is internal/server's
 // bodyReadTimeout, which equals readHeaderTimeout.
 func TestSlowClientsAreCut(t *testing.T) {
-	s, err := server.New(server.Config{Scale: 0.02, Only: []string{"kmeans"}, Shards: 1, ShardWorkers: 1})
+	s, err := server.New(server.Config{Scale: 0.02, Only: []string{"kmeans"}})
 	if err != nil {
 		t.Fatal(err)
 	}

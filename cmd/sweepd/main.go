@@ -3,22 +3,23 @@
 //
 // Usage:
 //
-//	sweepd -scale 0.1 [-addr :8734] [-shards 2] [-shard-workers 2]
+//	sweepd -scale 0.1 [-addr :8734] [-max-queue 128]
 //	sweepd -checkpoint run.jsonl -state drain.json [-resume]
 //	sweepd -trace-dir traces [-trace-replay] ...
 //
 // Jobs are single sweep cells (POST /v1/jobs, see internal/server); the
-// server shards them over worker pools by consistent hashing, memoizes
-// results by content hash, sheds load with 429 + Retry-After when the token
-// bucket or queue budget runs dry, and quarantines misbehaving shards behind
-// circuit breakers.
+// server memoizes results by content hash, computes each missing cell on
+// one runner with up to GOMAXPROCS at a time, and sheds load with 429 +
+// Retry-After when the token bucket or queue budget runs dry.
 //
 // On SIGTERM/SIGINT the server drains: admission closes (503), in-flight
 // jobs get up to -drain-timeout to finish (every completed result is already
 // in the -checkpoint file), the leftover cells are snapshotted to -state,
-// and the process exits 0. A later run with -resume primes every shard from
-// the checkpoint and re-submits the snapshotted cells — the combined output
-// is byte-identical to an uninterrupted run.
+// and the process exits 0 — or 1 if the state file could not be written.
+// Without -state the leftover cells are dropped, and the log says so. A
+// later run with -resume primes the runner from the checkpoint and
+// re-submits the snapshotted cells — the combined output is byte-identical
+// to an uninterrupted run.
 package main
 
 import (
@@ -36,7 +37,6 @@ import (
 	"time"
 
 	"doppelganger/internal/faults"
-	"doppelganger/internal/quality"
 	"doppelganger/internal/server"
 	"doppelganger/internal/sweep"
 	"doppelganger/internal/trace"
@@ -66,33 +66,24 @@ func main() {
 		only  = flag.String("only", "", "comma-separated benchmark subset")
 		quiet = flag.Bool("quiet", false, "suppress progress logging")
 
-		shards       = flag.Int("shards", 2, "worker pools (each with an isolated runner and its own circuit breaker)")
-		shardWorkers = flag.Int("shard-workers", 2, "goroutines per shard")
-		queueDepth   = flag.Int("queue-depth", 64, "buffered jobs per shard")
-		maxQueue     = flag.Int("max-queue", 0, "global queued-job budget before shedding (0 = shards x queue-depth)")
+		maxQueue = flag.Int("max-queue", 128, "computes that may wait for or hold a run slot before new ones are shed with 429")
 
 		admitRate  = flag.Float64("admit-rate", 2000, "admission token-bucket refill rate (jobs/s)")
 		admitBurst = flag.Float64("admit-burst", 1000, "admission token-bucket burst")
 
-		jobTimeout   = flag.Duration("job-timeout", 120*time.Second, "per-job deadline, retries included")
-		retries      = flag.Int("retries", 2, "re-dispatches per failed job, with exponential backoff")
-		retryBackoff = flag.Duration("retry-backoff", 50*time.Millisecond, "initial retry backoff (doubles per attempt, capped at 2s)")
-		hedgeAfter   = flag.Duration("hedge-after", 0, "re-dispatch a silent job onto the next shard after this long (0 = off)")
+		jobTimeout = flag.Duration("job-timeout", 120*time.Second, "per-compute deadline, its wait for a slot included")
 
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long SIGTERM waits for in-flight jobs before snapshotting them")
 		statePath    = flag.String("state", "", "drain state file: pending cells land here on SIGTERM, -resume re-submits them")
 		checkpoint   = flag.String("checkpoint", "", "persist completed results to this JSONL file as they finish")
-		resume       = flag.Bool("resume", false, "prime shards from -checkpoint and re-submit the -state cells at startup")
+		resume       = flag.Bool("resume", false, "prime the runner from -checkpoint and re-submit the -state cells at startup")
 
-		faultSeed  = flag.Uint64("seed", 1, "global fault-injection seed; results are deterministic in it at any shard count")
+		faultSeed  = flag.Uint64("seed", 1, "global fault-injection seed; results are deterministic in it at any concurrency")
 		faultModel = flag.String("fault-model", "flip", "fault manifestation: flip, stuck0, stuck1")
 
 		qualityBudget = flag.Float64("quality-budget", 0.05, "quality-guard output-error budget")
 		canaryRate    = flag.Float64("canary-rate", 0.05, "quality-guard canary sampling rate")
 		qualitySeed   = flag.Uint64("quality-seed", 1, "global canary-sampling seed")
-
-		breakerBudget = flag.Float64("breaker-budget", 0.5, "per-shard circuit-breaker failure budget in (0,1)")
-		breakerCool   = flag.Uint64("breaker-cooldown", 0, "breaker cooldown in denied requests (0 = library default)")
 
 		traceDir     = flag.String("trace-dir", "", "persistent trace-cache directory (record on first run, replay after)")
 		traceCapture = flag.Bool("trace-capture", false, "force re-recording captures in -trace-dir")
@@ -108,17 +99,11 @@ func main() {
 	if err := validateOptions(sweepdOptions{
 		Scale:         *scale,
 		Cores:         *cores,
-		Shards:        *shards,
-		ShardWorkers:  *shardWorkers,
-		QueueDepth:    *queueDepth,
 		MaxQueue:      *maxQueue,
 		AdmitRate:     *admitRate,
 		AdmitBurst:    *admitBurst,
 		JobTimeout:    *jobTimeout,
-		RetryBackoff:  *retryBackoff,
-		HedgeAfter:    *hedgeAfter,
 		DrainTimeout:  *drainTimeout,
-		Retries:       *retries,
 		QualityBudget: *qualityBudget,
 		CanaryRate:    *canaryRate,
 		TraceDir:      *traceDir,
@@ -165,19 +150,12 @@ func main() {
 	cfg := server.Config{
 		Scale:         *scale,
 		Cores:         *cores,
-		Shards:        *shards,
-		ShardWorkers:  *shardWorkers,
-		QueueDepth:    *queueDepth,
 		MaxQueue:      *maxQueue,
 		AdmitRate:     *admitRate,
 		AdmitBurst:    *admitBurst,
 		JobTimeout:    *jobTimeout,
-		Retries:       *retries,
-		RetryBackoff:  *retryBackoff,
-		HedgeAfter:    *hedgeAfter,
 		DrainTimeout:  *drainTimeout,
 		StatePath:     *statePath,
-		Breaker:       quality.BreakerConfig{Budget: *breakerBudget, Cooldown: *breakerCool},
 		FaultSeed:     *faultSeed,
 		FaultModel:    model,
 		QualityBudget: *qualityBudget,
@@ -202,13 +180,18 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
+	// Catch SIGTERM/SIGINT before announcing the address, so a harness that
+	// signals as soon as it reads the line gets a drain, not a kill.
+	sigs := make(chan os.Signal, 1)
+	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 	// The listening line goes to stdout so harnesses (and humans) can scrape
 	// the resolved address when -addr was :0.
 	fmt.Printf("sweepd: listening on %s\n", ln.Addr())
 
 	// Resume: re-submit the drained cells in the background (SubmitLocal
-	// skips admission — resumed work must never be shed). Cells whose results
-	// are already in the checkpoint complete instantly from the primed memo.
+	// skips admission and waits for a queue slot — resumed work is never
+	// shed). Cells whose results are already in the checkpoint complete
+	// instantly from the primed memo.
 	if *resume && *statePath != "" {
 		if cells, err := server.LoadState(*statePath); err != nil {
 			if !errors.Is(err, os.ErrNotExist) {
@@ -231,30 +214,26 @@ func main() {
 
 	// SIGTERM/SIGINT: drain (stop admission, finish in-flight within
 	// -drain-timeout, snapshot stragglers to -state), then shut the listener
-	// down so Serve returns and the process can exit 0.
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
+	// down so Serve returns. drained carries whether the drain kept every
+	// pending cell it was asked to keep.
+	drained := make(chan bool, 1)
 	go func() {
 		sig := <-sigs
 		logf("%v: draining (timeout %v)", sig, *drainTimeout)
 		left, err := s.Drain(context.Background())
-		if err != nil {
-			logf("drain: %v", err)
-		}
-		if len(left) > 0 {
-			logf("drain: %d cell(s) still pending, snapshotted to %s", len(left), *statePath)
-		} else {
-			logf("drain: all in-flight jobs completed")
-		}
+		msg, ok := drainReport(len(left), *statePath, err)
+		logf("%s", msg)
 		shctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		hs.Shutdown(shctx)
+		drained <- ok
 	}()
 
 	if err := hs.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fmt.Fprintf(os.Stderr, "sweepd: serve: %v\n", err)
 		os.Exit(1)
 	}
+	ok := <-drained
 	s.Close()
 	if cp != nil {
 		if err := cp.Close(); err != nil {
@@ -262,5 +241,24 @@ func main() {
 			os.Exit(1)
 		}
 	}
+	if !ok {
+		logf("exit 1")
+		os.Exit(1)
+	}
 	logf("exit 0")
+}
+
+// drainReport says where the cells a drain left pending went. It is not ok
+// when the state file could not be written.
+func drainReport(left int, statePath string, err error) (string, bool) {
+	switch {
+	case err != nil:
+		return fmt.Sprintf("drain: state file not written, %d pending cell(s) lost: %v", left, err), false
+	case left == 0:
+		return "drain: all in-flight jobs completed", true
+	case statePath == "":
+		return fmt.Sprintf("drain: %d cell(s) still pending, dropped (no -state file)", left), true
+	default:
+		return fmt.Sprintf("drain: %d cell(s) still pending, snapshotted to %s", left, statePath), true
+	}
 }

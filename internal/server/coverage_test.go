@@ -19,7 +19,7 @@ import (
 func TestFigureCell(t *testing.T) {
 	cfg := testConfig()
 	var logBuf bytes.Buffer
-	cfg.Log = &logBuf // exercises the shared syncWriter path
+	cfg.Log = &logBuf
 	s := mustServer(t, cfg)
 	for _, fig := range []string{"table3", "fig13"} {
 		res, err := s.SubmitLocal(context.Background(), Cell{Kind: "figure", Figure: fig})

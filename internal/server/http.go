@@ -47,8 +47,8 @@ func retryAfterSeconds(d time.Duration) string {
 //
 //	POST /v1/jobs  — submit one cell, respond with its Result envelope
 //	GET  /healthz  — liveness (200 while the process runs)
-//	GET  /readyz   — readiness (503 once draining or fully quarantined)
-//	GET  /v1/stats — health snapshot (shards, breakers, counters)
+//	GET  /readyz   — readiness (503 once draining)
+//	GET  /v1/stats — health snapshot (counters, trace store)
 //	GET  /metrics  — the metrics registry as JSONL
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -61,12 +61,8 @@ func (s *Server) Handler() http.Handler {
 			writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 			return
 		}
-		reason := "no live shard"
-		if s.Draining() {
-			reason = "draining"
-		}
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: reason})
+		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "draining"})
 	})
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.Stats())
@@ -84,7 +80,7 @@ func (s *Server) Handler() http.Handler {
 // handleSubmit reads the body, decodes exactly one Cell from it and maps
 // Submit's error taxonomy onto HTTP: 413 body over maxBodyBytes, 408 body
 // not in by bodyReadTimeout, 400 invalid or trailing body, 429 shed (with
-// Retry-After), 503 draining, 504 job deadline, 500 exhausted retries.
+// Retry-After), 503 draining, 504 job deadline, 500 failed compute.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	rc := http.NewResponseController(w)
 	// Only a writer with no connection behind it (a test recorder) refuses

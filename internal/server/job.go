@@ -1,10 +1,12 @@
 // Package server is the sweep engine as a service: an HTTP/JSON job server
-// that accepts sweep-cell submissions, shards them across worker pools with
-// a consistent-hash ring, and memoizes results by content hash so the same
-// cell is never simulated twice. The robustness layer — token-bucket
-// admission with load shedding, per-job deadlines with bounded retries and
-// hedged re-dispatch, per-shard circuit breakers, graceful drain to a
-// resumable state file — is what the chaos test exercises.
+// that accepts sweep-cell submissions and memoizes results by content hash,
+// so the same cell is never simulated twice. A cell that misses the memo is
+// computed on the submitting goroutine, on the server's one sweep.Runner,
+// holding one of GOMAXPROCS run slots. Around that sit token-bucket
+// admission, a queue budget that sheds with 429, a per-job deadline and a
+// graceful drain to a resumable state file. Cells are deterministic, so a
+// failed compute is not retried: the memo forgets it, and a resubmission
+// computes the cell afresh.
 package server
 
 import (
@@ -72,7 +74,7 @@ func (c Cell) Validate() error {
 		}
 		// The builders would panic on a geometry the data array cannot hold
 		// (entries not divisible by ways); refuse it at the front door instead
-		// of letting it look like a shard crash and feed the breakers.
+		// of letting it look like a crash.
 		geo := workloads.SplitDoppelConfig(c.M, c.Frac)
 		if c.Kind == "uni-error" || c.Kind == "uni-timing" {
 			geo = workloads.UnifiedDoppelConfig(c.M, c.Frac)
@@ -136,22 +138,10 @@ func (c Cell) Key() string {
 	return "invalid/" + c.Kind
 }
 
-// RouteKey is what the consistent-hash ring routes on: the benchmark name,
-// so every cell of one benchmark lands on the shard holding its warm
-// baseline artifacts (figures route on their own name — they touch the whole
-// suite anyway).
-func (c Cell) RouteKey() string {
-	if c.Kind == "figure" {
-		return "figure/" + c.Figure
-	}
-	return c.Bench
-}
-
 // payload is the deterministic content of a job result: exactly one of the
 // value fields is set, per Kind. It deliberately excludes anything volatile
-// (which shard computed it, cache hits, latency) — those live on the Result
-// envelope — so payload bytes from any shard, any attempt, or a resumed
-// server are comparable byte for byte. Error values travel as raw float64
+// (cache hits, latency) — those live on the Result envelope — so payload
+// bytes from any compute or a resumed server are comparable byte for byte. Error values travel as raw float64
 // bits, the checkpoint's round-trip discipline.
 type payload struct {
 	Key     string                `json:"key"`
@@ -162,22 +152,21 @@ type payload struct {
 	Tables  []json.RawMessage     `json:"tables,omitempty"`
 }
 
-// checksum is the integrity sum carried beside every payload: FNV-64a over
-// the canonical payload bytes, computed at result creation on the shard.
-// The dispatcher recomputes it on receipt; a mismatch means the bytes were
-// corrupted after the shard sealed them, and the job is retried elsewhere.
 func floatBits(v float64) uint64 { return math.Float64bits(v) }
 
+// checksum is the integrity sum carried beside every payload: FNV-64a over
+// the canonical payload bytes, sealed when the payload is built, so a
+// client can check the bytes it received.
 func checksum(b []byte) uint64 {
 	h := fnv.New64a()
 	h.Write(b)
 	return h.Sum64()
 }
 
-// executeCell runs one cell on a shard's runner and seals its canonical
-// payload. Everything here is deterministic in (cell, runner config): fault
-// and canary seeds derive from (seed, task key), never from worker or shard
-// identity, so any shard produces bit-identical bytes.
+// executeCell runs one cell on the runner and builds its canonical payload.
+// Everything here is deterministic in (cell, runner config): fault and
+// canary seeds derive from (seed, task key), never from which goroutine
+// computes the cell, so every compute produces bit-identical bytes.
 func executeCell(ctx context.Context, r *sweep.Runner, c Cell) ([]byte, error) {
 	p := payload{Key: c.Key(), Kind: c.Kind}
 	switch c.Kind {
@@ -247,14 +236,13 @@ func executeCell(ctx context.Context, r *sweep.Runner, c Cell) ([]byte, error) {
 }
 
 // Result is the envelope a completed job returns: the deterministic payload
-// plus its integrity sum, and the volatile bookkeeping (content hash, which
-// shard computed it, whether this response was served from the memo). Only
-// Payload and Sum are covered by the determinism contract.
+// plus its integrity sum, and the volatile bookkeeping (content hash,
+// whether this response was served from the memo). Only Payload and Sum are
+// covered by the determinism contract.
 type Result struct {
 	Key     string          `json:"key"`
 	Hash    string          `json:"hash"`
 	Payload json.RawMessage `json:"payload"`
 	Sum     uint64          `json:"sum"`
-	Shard   int             `json:"shard"`
 	Cached  bool            `json:"cached,omitempty"`
 }

@@ -70,20 +70,6 @@ func TestCellKey(t *testing.T) {
 	}
 }
 
-// TestCellRouteKey verifies cells route by benchmark (memo locality: a
-// benchmark's cells share its warm baseline) and figures by their own name.
-func TestCellRouteKey(t *testing.T) {
-	a := Cell{Kind: "split-error", Bench: "kmeans", M: 14, Frac: 0.25}
-	b := Cell{Kind: "fault-error", Bench: "kmeans", Org: "doppel", Rate: 1e-4}
-	if a.RouteKey() != b.RouteKey() {
-		t.Fatalf("cells of one benchmark route apart: %q vs %q", a.RouteKey(), b.RouteKey())
-	}
-	f := Cell{Kind: "figure", Figure: "fig10"}
-	if f.RouteKey() != "figure/fig10" {
-		t.Fatalf("figure route key = %q", f.RouteKey())
-	}
-}
-
 // TestChecksumDetectsMutation is the corruption-detection primitive: any
 // byte flip changes the sum.
 func TestChecksumDetectsMutation(t *testing.T) {

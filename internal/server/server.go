@@ -8,6 +8,8 @@ import (
 	"hash/fnv"
 	"io"
 	"os"
+	"runtime"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -15,7 +17,6 @@ import (
 
 	"doppelganger/internal/faults"
 	"doppelganger/internal/metrics"
-	"doppelganger/internal/quality"
 	"doppelganger/internal/singleflight"
 	"doppelganger/internal/sweep"
 	"doppelganger/internal/trace"
@@ -28,9 +29,8 @@ var ErrBadCell = errors.New("server: invalid cell")
 // (HTTP 503); clients should fail over to another instance.
 var ErrDraining = errors.New("server: draining, not accepting jobs")
 
-// errNoShard means candidate selection found nowhere to enqueue: every shard
-// was dead, breaker-open or full.
-var errNoShard = errors.New("server: no shard available (all dead, open or full)")
+// errClosed refuses a compute that would start after Close.
+var errClosed = errors.New("server: closed")
 
 // OverloadError is a load-shedding refusal (HTTP 429): the token bucket ran
 // dry or the queue budget is spent. RetryAfter is the server's own estimate
@@ -53,14 +53,10 @@ type Config struct {
 	// Only restricts the benchmark suite (figure jobs honor it too).
 	Only []string
 
-	// Shards is the number of worker pools (default 2); ShardWorkers the
-	// goroutines per pool (default 2); QueueDepth each pool's buffered queue
-	// (default 64).
-	Shards       int
-	ShardWorkers int
-	QueueDepth   int
-	// MaxQueue is the global shed budget: submissions beyond this many queued
-	// jobs are refused with 429 (default Shards x QueueDepth).
+	// MaxQueue is the queue budget: how many computes may wait for or hold
+	// a run slot at once (default 128). A submission whose cell misses the
+	// memo when every slot is taken is refused with 429; a memo hit takes
+	// no slot.
 	MaxQueue int
 
 	// AdmitRate and AdmitBurst shape the token bucket (default 2000/s, burst
@@ -68,16 +64,9 @@ type Config struct {
 	AdmitRate  float64
 	AdmitBurst float64
 
-	// JobTimeout bounds one job end to end, retries included (default 120s).
-	// Retries is how many times a failed dispatch re-runs beyond the first
-	// attempt (default 2), sleeping RetryBackoff doubling per attempt
-	// (default 50ms, capped at 2s). HedgeAfter, when positive, enqueues a
-	// second copy of a silent job on the next ring candidate (first answer
-	// wins; default off).
-	JobTimeout   time.Duration
-	Retries      int
-	RetryBackoff time.Duration
-	HedgeAfter   time.Duration
+	// JobTimeout bounds one compute, its wait for a slot included
+	// (default 120s).
+	JobTimeout time.Duration
 
 	// DrainTimeout bounds how long Drain waits for in-flight jobs before
 	// snapshotting the stragglers into the state file (default 30s).
@@ -85,13 +74,8 @@ type Config struct {
 	// StatePath, when set, receives the drain state file (pending cells).
 	StatePath string
 
-	// Breaker configures each shard's circuit breaker; Budget 0 gets the
-	// default (0.5: trip after repeated, not isolated, failures).
-	Breaker quality.BreakerConfig
-
-	// Fault/quality knobs, passed straight to every shard runner (results
-	// are bit-identical across shards because all seeds derive from
-	// (seed, task key), never worker identity).
+	// Fault/quality knobs, passed straight to the runner (all seeds derive
+	// from (seed, task key), never from which goroutine computes a cell).
 	FaultRates    []float64
 	FaultSeed     uint64
 	FaultModel    faults.Model
@@ -109,12 +93,12 @@ type Config struct {
 	TraceVerify  trace.VerifyMode
 
 	// Checkpoint, when non-nil, persists every completed result and primes
-	// every shard runner from already-loaded records (resume). The caller
-	// owns and closes it.
+	// the runner from already-loaded records (resume). The caller owns and
+	// closes it.
 	Checkpoint *sweep.Checkpoint
 
 	// Metrics receives all server and simulation instruments (created if
-	// nil). Log, when non-nil, receives progress lines from every shard.
+	// nil). Log, when non-nil, receives the runner's progress lines.
 	Metrics *metrics.Registry
 	Log     io.Writer
 }
@@ -123,17 +107,8 @@ func (c Config) withDefaults() Config {
 	if c.Cores == 0 {
 		c.Cores = 4
 	}
-	if c.Shards == 0 {
-		c.Shards = 2
-	}
-	if c.ShardWorkers == 0 {
-		c.ShardWorkers = 2
-	}
-	if c.QueueDepth == 0 {
-		c.QueueDepth = 64
-	}
 	if c.MaxQueue == 0 {
-		c.MaxQueue = c.Shards * c.QueueDepth
+		c.MaxQueue = 128
 	}
 	if c.AdmitRate == 0 {
 		c.AdmitRate = 2000
@@ -144,17 +119,8 @@ func (c Config) withDefaults() Config {
 	if c.JobTimeout == 0 {
 		c.JobTimeout = 120 * time.Second
 	}
-	if c.Retries == 0 {
-		c.Retries = 2
-	}
-	if c.RetryBackoff == 0 {
-		c.RetryBackoff = 50 * time.Millisecond
-	}
 	if c.DrainTimeout == 0 {
 		c.DrainTimeout = 30 * time.Second
-	}
-	if c.Breaker.Budget == 0 {
-		c.Breaker.Budget = 0.5
 	}
 	return c
 }
@@ -165,19 +131,22 @@ type serverMetrics struct {
 	cacheHits                   *metrics.Counter
 	shedRate, shedQueue         *metrics.Counter
 	rejectedDraining            *metrics.Counter
-	hedges, retries             *metrics.Counter
-	corrupt, panics, timeouts   *metrics.Counter
-	breakerDenied, shardKills   *metrics.Counter
+	panics, timeouts            *metrics.Counter
 }
 
-// Server is the sweep service: ring, shards, admission, result memo, drain
+// Server is the sweep service: admission, result memo, one runner, drain
 // state. Build with New, serve HTTP with Handler, stop with Drain + Close.
 type Server struct {
-	cfg   Config
-	ring  *ring
-	admit *tokenBucket
+	cfg    Config
+	admit  *tokenBucket
+	runner *sweep.Runner
 
-	shards []*shard
+	// queue and run are semaphores. A compute holds a queue slot while it
+	// waits for or holds a run slot (MaxQueue of them), and a run slot
+	// while it executes (GOMAXPROCS of them, the rule experiments
+	// -workers 0 uses).
+	queue chan struct{}
+	run   chan struct{}
 
 	// results is the content-addressed memo: one compute per content hash,
 	// every concurrent submission of the same cell shares it. Failures are
@@ -189,14 +158,19 @@ type Server struct {
 	latency    *metrics.Histogram
 	depthGauge *metrics.Gauge
 
-	queueDepth atomic.Int64
-	draining   atomic.Bool
+	draining atomic.Bool
 
 	pendingMu sync.Mutex
 	pending   map[string]*pendingEntry
 
 	baseCtx context.Context
 	cancel  context.CancelFunc
+
+	// wg counts the computes in flight, for Close to wait on. closed, under
+	// closeMu, stops new computes joining it once Close has begun, so no
+	// Add can race the Wait.
+	closeMu sync.Mutex
+	closed  bool
 	wg      sync.WaitGroup
 
 	// traceStore holds the opened (locked, scrubbed) trace directory for
@@ -206,7 +180,9 @@ type Server struct {
 	traceStore    *trace.Store
 	degradedGauge *metrics.Gauge
 
-	chaos ChaosHooks
+	// beforeCompute, when set (tests only), runs on every compute just
+	// before the cell executes, holding both slots; it may sleep or panic.
+	beforeCompute func(key string)
 }
 
 type pendingEntry struct {
@@ -214,41 +190,26 @@ type pendingEntry struct {
 	n    int
 }
 
-// syncWriter serializes a shared log writer across shard runners (each
-// runner serializes only its own lines).
-type syncWriter struct {
-	mu sync.Mutex
-	w  io.Writer
-}
-
-func (s *syncWriter) Write(p []byte) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.w.Write(p)
-}
-
-// New builds and starts a server (its shard workers run until Close).
+// New builds a server. It computes on the goroutines that submit, so it
+// starts none of its own.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	if !(cfg.Scale > 0) {
 		return nil, fmt.Errorf("server: scale must be positive, got %v", cfg.Scale)
 	}
-	if cfg.Shards < 1 || cfg.ShardWorkers < 1 {
-		return nil, fmt.Errorf("server: need at least one shard and one worker, got %d x %d", cfg.Shards, cfg.ShardWorkers)
+	if cfg.MaxQueue < 1 {
+		return nil, fmt.Errorf("server: queue budget must be positive, got %d", cfg.MaxQueue)
 	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
-	var log io.Writer
-	if cfg.Log != nil {
-		log = &syncWriter{w: cfg.Log}
-	}
 	baseCtx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:     cfg,
-		ring:    newRing(cfg.Shards, defaultReplicas),
 		admit:   newTokenBucket(cfg.AdmitRate, cfg.AdmitBurst),
+		queue:   make(chan struct{}, cfg.MaxQueue),
+		run:     make(chan struct{}, runtime.GOMAXPROCS(0)),
 		results: singleflight.New[*Result](),
 		reg:     reg,
 		pending: make(map[string]*pendingEntry),
@@ -263,21 +224,16 @@ func New(cfg Config) (*Server, error) {
 		shedRate:         reg.Counter("server.shed.rate"),
 		shedQueue:        reg.Counter("server.shed.queue"),
 		rejectedDraining: reg.Counter("server.rejected.draining"),
-		hedges:           reg.Counter("server.dispatch.hedges"),
-		retries:          reg.Counter("server.dispatch.retries"),
-		corrupt:          reg.Counter("server.dispatch.corrupt"),
 		panics:           reg.Counter("server.shard.panics"),
 		timeouts:         reg.Counter("server.dispatch.timeouts"),
-		breakerDenied:    reg.Counter("server.dispatch.breaker_denied"),
-		shardKills:       reg.Counter("server.shard.kills"),
 	}
 	s.latency = reg.Histogram("server.latency_ms", []float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 30000})
 	s.depthGauge = reg.Gauge("server.queue_depth")
 	s.degradedGauge = reg.Gauge("server.trace.degraded_cells")
 
-	// Open (lock + scrub) the trace store before any shard worker starts
-	// and before New returns — /readyz cannot say ready until the directory
-	// has been swept of orphaned temp files and condemned captures.
+	// Open (lock + scrub) the trace store before New returns — /readyz
+	// cannot say ready until the directory has been swept of orphaned temp
+	// files and condemned captures.
 	if cfg.TraceDir != "" {
 		st, err := trace.OpenStore(trace.OS, cfg.TraceDir, cfg.TraceVerify)
 		if err != nil {
@@ -287,80 +243,41 @@ func New(cfg Config) (*Server, error) {
 		s.traceStore = st
 		rep := st.Report
 		if rep.Skipped {
-			if log != nil {
-				fmt.Fprintf(log, "trace store %s: scrub skipped (directory shared with a live process)\n", cfg.TraceDir)
+			if cfg.Log != nil {
+				fmt.Fprintf(cfg.Log, "trace store %s: scrub skipped (directory shared with a live process)\n", cfg.TraceDir)
 			}
 		} else {
 			reg.Counter("trace.scrub.temps_removed").Add(uint64(rep.TempsRemoved))
 			reg.Counter("trace.scrub.verified").Add(uint64(rep.Verified))
 			reg.Counter("trace.scrub.quarantined").Add(uint64(rep.Quarantined))
 			reg.Counter("trace.scrub.unreadable").Add(uint64(rep.Unreadable))
-			if log != nil && (rep.TempsRemoved > 0 || rep.Quarantined > 0 || rep.Unreadable > 0) {
-				fmt.Fprintf(log, "trace store %s: scrub removed %d temp(s), quarantined %d, %d unreadable (%d verified)\n",
+			if cfg.Log != nil && (rep.TempsRemoved > 0 || rep.Quarantined > 0 || rep.Unreadable > 0) {
+				fmt.Fprintf(cfg.Log, "trace store %s: scrub removed %d temp(s), quarantined %d, %d unreadable (%d verified)\n",
 					cfg.TraceDir, rep.TempsRemoved, rep.Quarantined, rep.Unreadable, rep.Verified)
 			}
 		}
 	}
 
-	for i := 0; i < cfg.Shards; i++ {
-		r := sweep.NewRunner(cfg.Scale)
-		r.Cores = cfg.Cores
-		r.Only = cfg.Only
-		r.Log = log
-		r.Metrics = reg
-		r.FaultRates = cfg.FaultRates
-		r.FaultSeed = cfg.FaultSeed
-		r.FaultModel = cfg.FaultModel
-		r.QualityBudget = cfg.QualityBudget
-		r.QualitySeed = cfg.QualitySeed
-		r.CanaryRate = cfg.CanaryRate
-		r.TraceDir = cfg.TraceDir
-		r.TraceCapture = cfg.TraceCapture
-		r.TraceReplay = cfg.TraceReplay
-		r.Checkpoint = cfg.Checkpoint
-		if cfg.Checkpoint != nil {
-			r.Resume(cfg.Checkpoint)
-		}
-		breaker, err := quality.NewBreaker(cfg.Breaker)
-		if err != nil {
-			cancel()
-			return nil, err
-		}
-		sctx, kill := context.WithCancel(baseCtx)
-		sh := &shard{
-			id:      i,
-			runner:  r,
-			breaker: breaker,
-			jobs:    make(chan *job, cfg.QueueDepth),
-			ctx:     sctx,
-			kill:    kill,
-		}
-		s.shards = append(s.shards, sh)
+	r := sweep.NewRunner(cfg.Scale)
+	r.Cores = cfg.Cores
+	r.Only = cfg.Only
+	r.Log = cfg.Log
+	r.Metrics = reg
+	r.FaultRates = cfg.FaultRates
+	r.FaultSeed = cfg.FaultSeed
+	r.FaultModel = cfg.FaultModel
+	r.QualityBudget = cfg.QualityBudget
+	r.QualitySeed = cfg.QualitySeed
+	r.CanaryRate = cfg.CanaryRate
+	r.TraceDir = cfg.TraceDir
+	r.TraceCapture = cfg.TraceCapture
+	r.TraceReplay = cfg.TraceReplay
+	r.Checkpoint = cfg.Checkpoint
+	if cfg.Checkpoint != nil {
+		r.Resume(cfg.Checkpoint)
 	}
-	for _, sh := range s.shards {
-		for w := 0; w < cfg.ShardWorkers; w++ {
-			s.wg.Add(1)
-			go sh.loop(s)
-		}
-	}
+	s.runner = r
 	return s, nil
-}
-
-// SetChaos installs the chaos hooks (tests only; call before serving).
-func (s *Server) SetChaos(h ChaosHooks) { s.chaos = h }
-
-// KillShard marks a shard dead and cancels its in-flight simulations — the
-// chaos test's shard crash. Dead shards fail queued jobs fast and are
-// skipped by dispatch; the shard never comes back.
-func (s *Server) KillShard(i int) {
-	if i < 0 || i >= len(s.shards) {
-		return
-	}
-	sh := s.shards[i]
-	if sh.dead.CompareAndSwap(false, true) {
-		sh.kill()
-		s.m.shardKills.Inc()
-	}
 }
 
 // contentHash is the result-memo key: the cell identity plus every knob that
@@ -383,7 +300,8 @@ func (s *Server) contentHash(c Cell) string {
 }
 
 // Submit is the front door: validation, drain refusal, token-bucket
-// admission, queue-budget shedding, then the memoized dispatch.
+// admission, then the memo. A cell that misses the memo is shed with 429
+// when the queue budget is spent.
 func (s *Server) Submit(ctx context.Context, c Cell) (*Result, error) {
 	if err := c.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadCell, err)
@@ -396,21 +314,23 @@ func (s *Server) Submit(ctx context.Context, c Cell) (*Result, error) {
 		s.m.shedRate.Inc()
 		return nil, &OverloadError{RetryAfter: retry, Reason: "admission rate"}
 	}
-	if depth := s.queueDepth.Load(); depth >= int64(s.cfg.MaxQueue) {
-		s.m.shedQueue.Inc()
-		return nil, &OverloadError{RetryAfter: 250 * time.Millisecond, Reason: "queue depth"}
-	}
-	return s.SubmitLocal(ctx, c)
+	return s.submit(ctx, c, true)
 }
 
 // SubmitLocal is Submit without admission control: the resume path (cells
-// re-entering from a drain state file) and in-process tests use it. The job
-// is tracked as pending from acceptance to response — the drain snapshot is
-// exactly this set.
+// re-entering from a drain state file) and in-process tests use it. A cell
+// that misses the memo waits for a queue slot instead of being shed.
 func (s *Server) SubmitLocal(ctx context.Context, c Cell) (*Result, error) {
 	if err := c.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadCell, err)
 	}
+	return s.submit(ctx, c, false)
+}
+
+// submit serves one validated cell from the memo, computing it on a miss.
+// The job is tracked as pending from acceptance to response — the drain
+// snapshot is exactly this set.
+func (s *Server) submit(ctx context.Context, c Cell, shed bool) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -423,19 +343,15 @@ func (s *Server) SubmitLocal(ctx context.Context, c Cell) (*Result, error) {
 	computed := false
 	res, err := s.results.Do(hash, func() (*Result, error) {
 		computed = true
-		// The dispatch context is the server's, not the submitter's: a
-		// canceled client must not fail the compute out from under the other
-		// singleflight waiters.
-		jctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.JobTimeout)
-		defer cancel()
-		payload, sum, shardID, err := s.dispatch(jctx, c, key)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Key: key, Hash: hash, Payload: payload, Sum: sum, Shard: shardID}, nil
+		return s.compute(c, key, hash, shed)
 	})
 	if err != nil {
-		s.m.failed.Inc()
+		var overload *OverloadError
+		if errors.As(err, &overload) {
+			s.m.shedQueue.Inc()
+		} else {
+			s.m.failed.Inc()
+		}
 		return nil, err
 	}
 	s.m.completed.Inc()
@@ -449,127 +365,76 @@ func (s *Server) SubmitLocal(ctx context.Context, c Cell) (*Result, error) {
 	return res, nil
 }
 
-// maxRetryBackoff caps the exponential retry sleep.
-const maxRetryBackoff = 2 * time.Second
+// compute runs one cell that missed the memo, on the calling goroutine: it
+// takes a queue slot (shedding when shed is set and none is free), waits
+// for a run slot, then executes the cell on the runner and seals its
+// payload. Its context is the server's, not the submitter's: a canceled
+// client must not fail the compute out from under the other memo waiters.
+// A panic fails only this compute; the memo hands the error to every
+// waiter and forgets the key. A cell is deterministic, so a failure is not
+// retried: it would fail again.
+func (s *Server) compute(c Cell, key, hash string, shed bool) (res *Result, err error) {
+	if !s.track() {
+		return nil, errClosed
+	}
+	defer s.wg.Done()
+	ctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.JobTimeout)
+	defer cancel()
+	defer func() {
+		if err != nil && errors.Is(ctx.Err(), context.DeadlineExceeded) {
+			s.m.timeouts.Inc()
+		}
+	}()
 
-// dispatch runs the bounded-retry loop around attempt: exponential backoff
-// between attempts, each attempt starting one candidate further around the
-// ring so a persistently bad primary cannot eat the whole budget.
-func (s *Server) dispatch(ctx context.Context, c Cell, key string) ([]byte, uint64, int, error) {
-	backoff := s.cfg.RetryBackoff
-	var lastErr error
-	for attempt := 0; attempt <= s.cfg.Retries; attempt++ {
-		if attempt > 0 {
-			s.m.retries.Inc()
-			t := time.NewTimer(backoff)
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-				t.Stop()
-				s.m.timeouts.Inc()
-				return nil, 0, -1, fmt.Errorf("server: job %s deadline during retry backoff: %w (last error: %v)", key, ctx.Err(), lastErr)
-			}
-			if backoff *= 2; backoff > maxRetryBackoff {
-				backoff = maxRetryBackoff
-			}
+	select {
+	case s.queue <- struct{}{}:
+	default:
+		if shed {
+			return nil, &OverloadError{RetryAfter: 250 * time.Millisecond, Reason: "queue depth"}
 		}
-		payload, sum, shardID, err := s.attempt(ctx, c, key, attempt)
-		if err == nil {
-			return payload, sum, shardID, nil
-		}
-		// A later "no shard available" (breakers now open, queues full) must
-		// not mask the failure that opened them.
-		if !errors.Is(err, errNoShard) || lastErr == nil {
-			lastErr = err
-		}
-		if ctx.Err() != nil {
-			break
+		select {
+		case s.queue <- struct{}{}:
+		case <-ctx.Done():
+			return nil, fmt.Errorf("server: job %s got no queue slot: %w", key, ctx.Err())
 		}
 	}
-	return nil, 0, -1, fmt.Errorf("server: job %s failed after %d attempt(s): %w", key, s.cfg.Retries+1, lastErr)
+	s.depthGauge.Add(1)
+	defer func() {
+		<-s.queue
+		s.depthGauge.Add(-1)
+	}()
+	select {
+	case s.run <- struct{}{}:
+	case <-ctx.Done():
+		return nil, fmt.Errorf("server: job %s got no run slot: %w", key, ctx.Err())
+	}
+	defer func() { <-s.run }()
+
+	defer func() {
+		if p := recover(); p != nil {
+			s.m.panics.Inc()
+			res, err = nil, fmt.Errorf("server: panic computing %s: %v\n%s", key, p, debug.Stack())
+		}
+	}()
+	if hook := s.beforeCompute; hook != nil {
+		hook(key)
+	}
+	payload, err := executeCell(ctx, s.runner, c)
+	if err != nil {
+		return nil, fmt.Errorf("server: job %s: %w", key, err)
+	}
+	return &Result{Key: key, Hash: hash, Payload: payload, Sum: checksum(payload)}, nil
 }
 
-// attempt runs one dispatch round: enqueue on the first live, breaker-
-// allowed, non-full candidate in ring order; hedge onto the next one if the
-// answer is slow; verify the payload checksum on receipt. Corrupt or failed
-// outcomes feed the shard's breaker and fall through to the next candidate.
-func (s *Server) attempt(ctx context.Context, c Cell, key string, rotation int) ([]byte, uint64, int, error) {
-	seq := s.ring.order(c.RouteKey())
-	if len(seq) == 0 {
-		return nil, 0, -1, errors.New("server: no shards")
-	}
-	rot := rotation % len(seq)
-	seq = append(append(make([]int, 0, len(seq)), seq[rot:]...), seq[:rot]...)
-
-	done := make(chan outcome, len(seq))
-	next, inflight := 0, 0
-	var lastErr error
-	launch := func() bool {
-		for next < len(seq) {
-			sh := s.shards[seq[next]]
-			next++
-			if sh.dead.Load() {
-				continue
-			}
-			if !sh.breaker.Allow() {
-				s.m.breakerDenied.Inc()
-				continue
-			}
-			if err := sh.enqueue(s, &job{cell: c, key: key, ctx: ctx, done: done}); err != nil {
-				lastErr = err
-				continue
-			}
-			inflight++
-			return true
-		}
+// track adds one compute to wg, unless Close has begun.
+func (s *Server) track() bool {
+	s.closeMu.Lock()
+	defer s.closeMu.Unlock()
+	if s.closed {
 		return false
 	}
-	if !launch() {
-		if lastErr == nil {
-			lastErr = errNoShard
-		}
-		return nil, 0, -1, lastErr
-	}
-	var hedgeC <-chan time.Time
-	if s.cfg.HedgeAfter > 0 {
-		hedge := time.NewTimer(s.cfg.HedgeAfter)
-		defer hedge.Stop()
-		hedgeC = hedge.C
-	}
-	for {
-		select {
-		case out := <-done:
-			inflight--
-			if out.err == nil {
-				if checksum(out.payload) != out.sum {
-					s.m.corrupt.Inc()
-					s.shards[out.shard].breaker.Observe(1)
-					lastErr = fmt.Errorf("server: shard %d returned a corrupt payload for %s (checksum mismatch)", out.shard, key)
-				} else {
-					s.shards[out.shard].breaker.Observe(0)
-					return out.payload, out.sum, out.shard, nil
-				}
-			} else {
-				lastErr = out.err
-				if !errors.Is(out.err, errShardDead) {
-					// Dead shards are already quarantined; everything else
-					// (panic, timeout, simulation error) counts against the
-					// breaker.
-					s.shards[out.shard].breaker.Observe(1)
-				}
-			}
-			if inflight == 0 && !launch() {
-				return nil, 0, -1, lastErr
-			}
-		case <-hedgeC:
-			if launch() {
-				s.m.hedges.Inc()
-			}
-		case <-ctx.Done():
-			s.m.timeouts.Inc()
-			return nil, 0, -1, fmt.Errorf("server: job %s deadline exceeded: %w", key, ctx.Err())
-		}
-	}
+	s.wg.Add(1)
+	return true
 }
 
 func (s *Server) addPending(key string, c Cell) {
@@ -616,22 +481,9 @@ func (s *Server) pendingCells() []Cell {
 	return cells
 }
 
-// Draining reports whether Drain has begun (readyz turns 503).
-func (s *Server) Draining() bool { return s.draining.Load() }
-
-// Ready reports whether the server can accept work: not draining, and at
-// least one shard alive with its breaker not open.
-func (s *Server) Ready() bool {
-	if s.draining.Load() {
-		return false
-	}
-	for _, sh := range s.shards {
-		if !sh.dead.Load() && sh.breaker.State() != quality.Open {
-			return true
-		}
-	}
-	return false
-}
+// Ready reports whether the server accepts work: true until Drain begins
+// (readyz turns 503).
+func (s *Server) Ready() bool { return !s.draining.Load() }
 
 // StateVersion is the drain state file's schema version.
 const StateVersion = 1
@@ -712,9 +564,13 @@ wait:
 	return left, err
 }
 
-// Close hard-stops the server (workers exit, in-flight jobs abort) and
-// releases the trace-store lock. Drain first for a graceful exit.
+// Close hard-stops the server (in-flight computes abort, and Close waits
+// for them; later ones are refused) and releases the trace-store lock.
+// Drain first for a graceful exit.
 func (s *Server) Close() {
+	s.closeMu.Lock()
+	s.closed = true
+	s.closeMu.Unlock()
 	s.cancel()
 	s.wg.Wait()
 	if s.traceStore != nil {
@@ -722,23 +578,12 @@ func (s *Server) Close() {
 	}
 }
 
-// Computes reports how many distinct results were actually computed (the
-// exactly-once ledger the chaos test audits).
+// Computes reports how many computes ran, failed and shed ones included
+// (the exactly-once ledger the chaos test audits).
 func (s *Server) Computes() int64 { return s.results.Computes() }
 
 // Metrics exposes the server's registry (the /metrics endpoint renders it).
 func (s *Server) Metrics() *metrics.Registry { return s.reg }
-
-// ShardStats is one shard's health snapshot.
-type ShardStats struct {
-	ID        int     `json:"id"`
-	Dead      bool    `json:"dead"`
-	State     string  `json:"breaker_state"`
-	Estimate  float64 `json:"breaker_estimate"`
-	Trips     uint64  `json:"breaker_trips"`
-	Reentries uint64  `json:"breaker_reentries"`
-	Queue     int     `json:"queue"`
-}
 
 // Stats is the /v1/stats payload.
 type Stats struct {
@@ -753,9 +598,6 @@ type Stats struct {
 	Computes   int64  `json:"computes"`
 	ShedRate   uint64 `json:"shed_rate"`
 	ShedQueue  uint64 `json:"shed_queue"`
-	Hedges     uint64 `json:"hedges"`
-	Retries    uint64 `json:"retries"`
-	Corrupt    uint64 `json:"corrupt"`
 	Panics     uint64 `json:"panics"`
 
 	// Trace-store health: replayed/recorded captures, captures condemned to
@@ -767,8 +609,6 @@ type Stats struct {
 	TraceQuarantined uint64             `json:"trace_quarantined,omitempty"`
 	TraceDegraded    uint64             `json:"trace_degraded,omitempty"`
 	TraceScrub       *trace.ScrubReport `json:"trace_scrub,omitempty"`
-
-	Shards []ShardStats `json:"shards"`
 }
 
 // Stats snapshots the server's health.
@@ -776,7 +616,7 @@ func (s *Server) Stats() Stats {
 	st := Stats{
 		Draining:   s.draining.Load(),
 		Ready:      s.Ready(),
-		QueueDepth: s.queueDepth.Load(),
+		QueueDepth: int64(len(s.queue)),
 		Pending:    s.pendingCount(),
 		Accepted:   s.m.accepted.Value(),
 		Completed:  s.m.completed.Value(),
@@ -785,9 +625,6 @@ func (s *Server) Stats() Stats {
 		Computes:   s.Computes(),
 		ShedRate:   s.m.shedRate.Value(),
 		ShedQueue:  s.m.shedQueue.Value(),
-		Hedges:     s.m.hedges.Value(),
-		Retries:    s.m.retries.Value(),
-		Corrupt:    s.m.corrupt.Value(),
 		Panics:     s.m.panics.Value(),
 
 		TraceReplays: s.reg.CounterValue("trace.replays"),
@@ -803,16 +640,5 @@ func (s *Server) Stats() Stats {
 	// Mirror the degraded count onto the gauge so /metrics shows degraded
 	// mode as a level alongside the raw counter.
 	s.degradedGauge.Set(int64(st.TraceDegraded))
-	for _, sh := range s.shards {
-		st.Shards = append(st.Shards, ShardStats{
-			ID:        sh.id,
-			Dead:      sh.dead.Load(),
-			State:     sh.breaker.State().String(),
-			Estimate:  sh.breaker.Estimate(),
-			Trips:     sh.breaker.Trips(),
-			Reentries: sh.breaker.Reentries(),
-			Queue:     len(sh.jobs),
-		})
-	}
 	return st
 }

@@ -22,8 +22,6 @@ import (
 func testConfig() Config {
 	return Config{
 		Scale:        0.02,
-		Shards:       2,
-		ShardWorkers: 1,
 		Only:         []string{"kmeans"},
 		JobTimeout:   60 * time.Second,
 		DrainTimeout: 50 * time.Millisecond,
@@ -87,7 +85,7 @@ func TestSubmitMemoizesAndMatchesSerial(t *testing.T) {
 }
 
 // TestRunnersKeepNoTaskSnapshots: sweepd serves only the aggregate
-// registry, so its runners keep no per-task snapshots after serving cells,
+// registry, so its runner keeps no per-task snapshots after serving cells,
 // and every simulation instrument /metrics serves equals that of a runner
 // that computed the same cells and kept its snapshots.
 func TestRunnersKeepNoTaskSnapshots(t *testing.T) {
@@ -95,7 +93,6 @@ func TestRunnersKeepNoTaskSnapshots(t *testing.T) {
 		t.Skip("runs simulations")
 	}
 	cfg := testConfig()
-	cfg.Shards = 1 // one runner computes every cell, as the reference does
 	s := mustServer(t, cfg)
 	ref := sweep.NewRunner(cfg.Scale)
 	ref.Only = cfg.Only
@@ -113,10 +110,8 @@ func TestRunnersKeepNoTaskSnapshots(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, sh := range s.shards {
-		if n := len(sh.runner.TaskSnapshots()); n != 0 {
-			t.Errorf("shard %d kept %d task snapshots", sh.id, n)
-		}
+	if n := len(s.runner.TaskSnapshots()); n != 0 {
+		t.Errorf("the server's runner kept %d task snapshots", n)
 	}
 	if len(ref.TaskSnapshots()) == 0 {
 		t.Fatal("the reference runner kept no task snapshots")
@@ -157,7 +152,7 @@ func TestRunnersKeepNoTaskSnapshots(t *testing.T) {
 	}
 }
 
-// TestSubmitValidates maps bad cells to ErrBadCell without touching a shard.
+// TestSubmitValidates maps bad cells to ErrBadCell without accepting them.
 func TestSubmitValidates(t *testing.T) {
 	s := mustServer(t, testConfig())
 	_, err := s.Submit(context.Background(), Cell{Kind: "split-error", Bench: "nope", M: 14, Frac: 0.25})
@@ -170,7 +165,7 @@ func TestSubmitValidates(t *testing.T) {
 }
 
 // TestAdmissionSheds verifies the token bucket refuses with a positive
-// Retry-After once the burst is spent, without consuming shard capacity.
+// Retry-After once the burst is spent.
 func TestAdmissionSheds(t *testing.T) {
 	cfg := testConfig()
 	cfg.AdmitRate = 0.0001 // effectively no refill during the test
@@ -207,22 +202,28 @@ func TestAdmissionSheds(t *testing.T) {
 	}
 }
 
-// TestQueueSheds verifies the global queue budget: with the queue full,
-// submissions shed with 429 instead of piling up.
+// TestQueueSheds verifies the queue budget: with its one slot held by a
+// compute, a cell that misses the memo sheds with 429 instead of piling
+// up, while a resubmission of an already-computed cell is served from the
+// memo, which takes no slot.
 func TestQueueSheds(t *testing.T) {
 	cfg := testConfig()
 	cfg.MaxQueue = 1
 	s := mustServer(t, cfg)
+	computed := Cell{Kind: "baseline-timing", Bench: "kmeans"}
+	if _, err := s.Submit(context.Background(), computed); err != nil {
+		t.Fatal(err)
+	}
 	block := make(chan struct{})
-	s.SetChaos(ChaosHooks{BeforeExec: func(int, string) { <-block }})
+	s.beforeCompute = func(string) { <-block }
 	defer close(block)
 
-	go s.SubmitLocal(context.Background(), Cell{Kind: "baseline-timing", Bench: "kmeans"})
-	// Wait until the job is actually queued/running so depth is visible.
+	go s.SubmitLocal(context.Background(), Cell{Kind: "split-error", Bench: "kmeans", M: 14, Frac: 0.25})
+	// Wait until the compute holds the slot so depth is visible.
 	deadline := time.Now().Add(5 * time.Second)
-	for s.queueDepth.Load() < 1 {
+	for s.Stats().QueueDepth < 1 {
 		if time.Now().After(deadline) {
-			t.Fatal("job never reached a shard queue")
+			t.Fatal("the compute never took a queue slot")
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -232,82 +233,13 @@ func TestQueueSheds(t *testing.T) {
 	if !errors.As(err, &overload) || !strings.Contains(overload.Reason, "queue") {
 		t.Fatalf("err = %v, want queue-depth OverloadError", err)
 	}
-}
 
-// TestKillShardFailsOver kills the primary shard for the benchmark and
-// verifies the job still completes — on another shard, bit-identically.
-func TestKillShardFailsOver(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs simulations")
-	}
-	cfg := testConfig()
-	cfg.Shards = 3
-	s := mustServer(t, cfg)
-	cell := Cell{Kind: "split-error", Bench: "kmeans", M: 14, Frac: 0.25}
-
-	primary := s.ring.order(cell.RouteKey())[0]
-	s.KillShard(primary)
-
-	res, err := s.Submit(context.Background(), cell)
+	res, err := s.Submit(context.Background(), computed)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("resubmitting a computed cell with the queue full: %v", err)
 	}
-	if res.Shard == primary {
-		t.Fatalf("result came from the dead shard %d", primary)
-	}
-
-	serial := sweep.NewRunner(0.02)
-	serial.Only = []string{"kmeans"}
-	want, err := executeCell(context.Background(), serial, cell)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(res.Payload, want) {
-		t.Fatal("failover payload differs from serial runner")
-	}
-	if s.Stats().Shards[primary].Dead != true {
-		t.Fatal("stats do not report the dead shard")
-	}
-}
-
-// TestBreakerQuarantinesShard makes one shard panic on every job and
-// verifies repeated failures trip its breaker open, after which dispatch
-// stops consulting it (jobs keep succeeding elsewhere).
-func TestBreakerQuarantinesShard(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs simulations")
-	}
-	cfg := testConfig()
-	cfg.Shards = 2
-	cfg.Retries = 3
-	cfg.Breaker.Budget = 0.5 // est exceeds 0.5 on the second straight failure
-	s := mustServer(t, cfg)
-	cell := Cell{Kind: "split-error", Bench: "kmeans", M: 14, Frac: 0.25}
-	victim := s.ring.order(cell.RouteKey())[0]
-	s.SetChaos(ChaosHooks{BeforeExec: func(shard int, key string) {
-		if shard == victim {
-			panic("chaos: worker crash")
-		}
-	}})
-
-	// Distinct cells (same benchmark, same victim primary) so each
-	// submission is a fresh compute that first fails on the victim.
-	for _, frac := range []float64{0.5, 0.25, 0.125} {
-		c := cell
-		c.Frac = frac
-		if _, err := s.SubmitLocal(context.Background(), c); err != nil {
-			t.Fatalf("frac %g: %v", frac, err)
-		}
-	}
-	st := s.Stats().Shards[victim]
-	if st.Trips == 0 || st.State != "open" {
-		t.Fatalf("victim shard not quarantined: %+v", st)
-	}
-	if s.m.panics.Value() < 2 {
-		t.Fatalf("panic shield saw %d panics, want >= 2", s.m.panics.Value())
-	}
-	if s.m.breakerDenied.Value() == 0 {
-		t.Fatal("dispatch never skipped the quarantined shard")
+	if !res.Cached {
+		t.Fatal("resubmission of a computed cell was not served from the memo")
 	}
 }
 
@@ -319,12 +251,12 @@ func TestDrainSnapshotsPending(t *testing.T) {
 	cfg.StatePath = filepath.Join(t.TempDir(), "state.json")
 	s := mustServer(t, cfg)
 	release := make(chan struct{})
-	s.SetChaos(ChaosHooks{BeforeExec: func(int, string) {
+	s.beforeCompute = func(string) {
 		select {
 		case <-release:
 		case <-time.After(10 * time.Second):
 		}
-	}})
+	}
 
 	cell := Cell{Kind: "baseline-timing", Bench: "kmeans"}
 	errc := make(chan error, 1)

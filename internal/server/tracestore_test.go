@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http/httptest"
@@ -144,5 +145,54 @@ func TestServerTraceRoundTrip(t *testing.T) {
 	}
 	if st.TraceScrub == nil || st.TraceScrub.Verified == 0 {
 		t.Errorf("second server's scrub verified nothing: %+v", st.TraceScrub)
+	}
+}
+
+// TestFailedCellRefusesNoOther: a cell that fails — here an unrecorded cell
+// on a trace-replay server — fails alone. A deterministic cell fails the
+// same way on any retry, so nothing is retried and nothing is quarantined:
+// the recorded cell submitted right after it is served at once,
+// bit-identical to the recording server's payload, and the server stays
+// ready throughout.
+func TestFailedCellRefusesNoOther(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations")
+	}
+	recorded := Cell{Kind: "split-error", Bench: "kmeans", M: 14, Frac: 0.25}
+	cfg := testConfig()
+	cfg.TraceDir = t.TempDir()
+	cfg.Log = nil
+
+	recorder, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := recorder.Submit(context.Background(), recorded)
+	recorder.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cfg.TraceReplay = true
+	s := mustServer(t, cfg)
+	if !s.Ready() {
+		t.Fatal("replay server not ready at start")
+	}
+	_, err = s.Submit(context.Background(), Cell{Kind: "split-error", Bench: "kmeans", M: 14, Frac: 0.5})
+	if err == nil || !strings.Contains(err.Error(), "-trace-replay: no usable capture") {
+		t.Fatalf("unrecorded cell: err = %v, want a -trace-replay refusal", err)
+	}
+	if !s.Ready() {
+		t.Fatal("one failed cell made the server unready")
+	}
+	got, err := s.Submit(context.Background(), recorded)
+	if err != nil {
+		t.Fatalf("recorded cell after a failed one: %v", err)
+	}
+	if !bytes.Equal(got.Payload, want.Payload) {
+		t.Fatalf("replayed payload diverged:\n%s\nvs\n%s", got.Payload, want.Payload)
+	}
+	if !s.Ready() {
+		t.Fatal("server unready after serving the recorded cell")
 	}
 }

@@ -8,7 +8,7 @@
 //
 // Only successes stay cached. A failed computation delivers its error to
 // the callers already waiting on the entry, then forgets the key, so a
-// retry (an engine's bounded-retry loop, a resumed run, or a re-dispatched
+// retry (an engine's bounded-retry loop, a resumed run, or a resubmitted
 // server job) computes it again instead of replaying a transient failure
 // forever.
 package singleflight
