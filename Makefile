@@ -20,9 +20,10 @@
 # `server-smoke` proves the sweep server's robustness layer under the race
 # detector — the memoized compute, the chaos exactly-once/bit-identical
 # proof, a failed cell that fails alone, queue shedding that spares memo
-# hits, the trace-dir round trip with its memo hit after recording, the
-# trace-cache leak tests, and the sweepd drain/resume end to end with its
-# failed-state-write exit — and is folded into `race`.
+# hits, a drain that cancels its straggler, a figure job that honours its
+# deadline, a checkpoint resume that simulates nothing, the trace-dir round
+# trip with its memo hit after recording, the trace-cache leak tests, and
+# the sweepd drain/resume end to end — and is folded into `race`.
 # `fuzz-smoke` gives each fuzz target a short budget (Go allows one -fuzz
 # pattern per package invocation, hence one line per target).
 # `bench-smoke` runs one iteration of each per-figure benchmark (each fails
@@ -71,9 +72,9 @@ quality-smoke:
 	$(GO) test -race -run 'TestBreakerProperty|TestBreakerDeterminism' ./internal/quality/
 
 server-smoke:
-	$(GO) test -race -run 'TestSubmitMemoizesAndMatchesSerial|TestChaosExactlyOnceBitIdentical|TestFailedCellRefusesNoOther|TestQueueSheds|TestDrainSnapshotsPending|TestHTTPEndpoints|TestServerTraceRoundTrip' ./internal/server/
+	$(GO) test -race -run 'TestSubmitMemoizesAndMatchesSerial|TestChaosExactlyOnceBitIdentical|TestFailedCellRefusesNoOther|TestQueueSheds|TestDrainCancelsStraggler|TestFigureJobHonoursDeadline|TestCheckpointResumeSimulatesNothing|TestHTTPEndpoints|TestServerTraceRoundTrip' ./internal/server/
 	$(GO) test -race -run 'TestTraceCacheConcurrentCancelNoLeak|TestTraceCacheForgottenErrorUnderConcurrency' ./internal/sweep/
-	$(GO) test -run 'TestDrainResumeByteIdentical|TestDrainStateWriteFailureExits1' ./cmd/sweepd/
+	$(GO) test -run 'TestDrainResumeByteIdentical' ./cmd/sweepd/
 
 trace-smoke:
 	$(GO) test -race -cpu 1,4 -run 'TestTraceSmoke|TestTraceReplayRequiresCapture|TestTracePersistFailureDegradesLive|TestWarmErrorCellsReplayNothing' ./internal/sweep/

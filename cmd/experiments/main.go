@@ -6,7 +6,7 @@
 //	experiments table2 fig2 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 table3
 //	experiments -fault-rate 1e-5,1e-4 -seed 42 faults
 //	experiments -quality-budget 0.05 -canary-rate 0.05 -quality-seed 1 quality
-//	experiments -checkpoint run.jsonl [-resume] [-timeout 2h] [-task-timeout 10m] [-retries 2] all
+//	experiments -checkpoint run.jsonl [-resume] [-timeout 2h] all
 //
 // The names are the entries of sweep.Experiments; "all" selects the paper's
 // tables and figures, and no name means "all". Flags go before the names:
@@ -23,7 +23,9 @@
 // expires): in-flight simulations are interrupted, completed results are
 // flushed to the -checkpoint file and -metrics-out, and the process exits
 // 130 (interrupt) or 1 (failure). A later invocation with -resume skips
-// every checkpointed task and renders bit-identical tables.
+// every checkpointed task and renders bit-identical tables. A task is
+// deterministic, so a failed one is not retried; a panicking simulation
+// fails its own task, not the run.
 //
 // Each experiment prints the same rows/series the paper reports; see
 // EXPERIMENTS.md for the recorded paper-vs-measured comparison.
@@ -64,11 +66,9 @@ func main() {
 		workers = flag.Int("workers", 0, "max concurrent simulations (0 = GOMAXPROCS)")
 		serial  = flag.Bool("serial", false, "skip the parallel engine; compute lazily on one goroutine")
 
-		timeout     = flag.Duration("timeout", 0, "overall wall-clock budget; the run shuts down gracefully when it expires (0 = none)")
-		taskTimeout = flag.Duration("task-timeout", 0, "per-task deadline; a task exceeding it fails and may retry (0 = none)")
-		retries     = flag.Int("retries", 0, "retries per failed task, with exponential backoff")
-		checkpoint  = flag.String("checkpoint", "", "persist completed results to this JSONL file as they finish")
-		resume      = flag.Bool("resume", false, "load -checkpoint first and skip already-completed tasks bit-identically")
+		timeout    = flag.Duration("timeout", 0, "overall wall-clock budget; the run shuts down gracefully when it expires (0 = none)")
+		checkpoint = flag.String("checkpoint", "", "persist completed results to this JSONL file as they finish")
+		resume     = flag.Bool("resume", false, "load -checkpoint first and skip already-completed tasks bit-identically")
 
 		faultRates = flag.String("fault-rate", "", "comma-separated per-access fault rates for the faults experiment (default 1e-6,1e-5,1e-4)")
 		faultSeed  = flag.Uint64("seed", 1, "global fault-injection seed; results are deterministic in it at any worker count")
@@ -99,7 +99,6 @@ func main() {
 		Scale:         *scale,
 		Workers:       *workers,
 		WorkersSet:    workersSet,
-		Retries:       *retries,
 		QualityBudget: *qualityBudget,
 		CanaryRate:    *canaryRate,
 		TraceDir:      *traceDir,
@@ -129,8 +128,6 @@ func main() {
 		r.Only = strings.Split(*only, ",")
 	}
 	r.Workers = *workers
-	r.TaskTimeout = *taskTimeout
-	r.Retries = *retries
 
 	if r.FaultModel, err = faults.ParseModel(*faultModel); err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)

@@ -22,7 +22,6 @@ type sweepOptions struct {
 	Scale         float64
 	Workers       int
 	WorkersSet    bool
-	Retries       int
 	QualityBudget float64
 	CanaryRate    float64
 	TraceDir      string
@@ -39,7 +38,6 @@ func validateOptions(o sweepOptions) error {
 	return flagcheck.First(
 		flagcheck.PositiveScale("-scale", o.Scale),
 		flagcheck.Workers("-workers", o.WorkersSet, o.Workers),
-		flagcheck.NonNegative("-retries", o.Retries),
 		flagcheck.PositiveFraction("-quality-budget", "e.g. 0.05", o.QualityBudget),
 		flagcheck.Probability("-canary-rate", o.CanaryRate),
 		flagcheck.TraceFlags(o.TraceDir, o.TraceCapture, o.TraceReplay),

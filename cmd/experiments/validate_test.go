@@ -26,7 +26,7 @@ func TestParseRates(t *testing.T) {
 }
 
 func TestValidateOptions(t *testing.T) {
-	ok := sweepOptions{Scale: 1, Retries: 2, QualityBudget: 0.05, CanaryRate: 0.05, Format: "text"}
+	ok := sweepOptions{Scale: 1, QualityBudget: 0.05, CanaryRate: 0.05, Format: "text"}
 	if err := validateOptions(ok); err != nil {
 		t.Fatalf("valid options rejected: %v", err)
 	}
@@ -44,7 +44,6 @@ func TestValidateOptions(t *testing.T) {
 		{"NaN scale", sweepOptions{Scale: math.NaN(), QualityBudget: 0.05}, "-scale"},
 		{"explicit zero workers", sweepOptions{Scale: 1, Workers: 0, WorkersSet: true, QualityBudget: 0.05}, "-workers"},
 		{"negative workers", sweepOptions{Scale: 1, Workers: -2, WorkersSet: true, QualityBudget: 0.05}, "-workers"},
-		{"negative retries", sweepOptions{Scale: 1, Retries: -1, QualityBudget: 0.05}, "-retries"},
 		{"zero budget", sweepOptions{Scale: 1}, "-quality-budget"},
 		{"infinite budget", sweepOptions{Scale: 1, QualityBudget: math.Inf(1)}, "-quality-budget"},
 		{"NaN budget", sweepOptions{Scale: 1, QualityBudget: math.NaN()}, "-quality-budget"},

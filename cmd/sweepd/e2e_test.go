@@ -137,9 +137,9 @@ func (p *sweepdProc) submit(cell map[string]interface{}) (string, []byte, error)
 }
 
 // TestDrainResumeByteIdentical is the end-to-end graceful-shutdown proof: a
-// sweepd SIGTERMed mid-load must exit 0 with completed results checkpointed
-// and pending cells snapshotted to the state file, and a -resume server over
-// those files must answer every cell byte-identically to a server that was
+// sweepd SIGTERMed mid-load must exit 0 with its completed results
+// checkpointed, and a -resume server over that checkpoint must answer every
+// cell, checkpointed or cancelled, byte-identically to a server that was
 // never interrupted.
 func TestDrainResumeByteIdentical(t *testing.T) {
 	if testing.Short() {
@@ -165,11 +165,10 @@ func TestDrainResumeByteIdentical(t *testing.T) {
 
 	// Interrupted run: fire the whole grid concurrently, SIGTERM as soon as
 	// the first response lands (the rest are still waiting for a run slot or
-	// computing). A short drain timeout forces a real snapshot of the
-	// stragglers instead of waiting them out.
+	// computing). A short drain timeout cancels the stragglers instead of
+	// waiting them out.
 	cp := filepath.Join(dir, "cp.jsonl")
-	state := filepath.Join(dir, "state.json")
-	victim := startSweepd(t, bin, "-checkpoint", cp, "-state", state, "-drain-timeout", "50ms")
+	victim := startSweepd(t, bin, "-checkpoint", cp, "-drain-timeout", "50ms")
 	first := make(chan struct{})
 	var firstOnce sync.Once
 	var wg sync.WaitGroup
@@ -177,8 +176,8 @@ func TestDrainResumeByteIdentical(t *testing.T) {
 		wg.Add(1)
 		go func(cell map[string]interface{}) {
 			defer wg.Done()
-			// Errors are expected here: drain aborts stragglers (5xx) — their
-			// cells are in the state file, which is the point.
+			// Errors are expected here: drain aborts stragglers (5xx), and
+			// the resumed server recomputes their cells.
 			if _, _, err := victim.submit(cell); err == nil {
 				firstOnce.Do(func() { close(first) })
 			}
@@ -199,24 +198,14 @@ func TestDrainResumeByteIdentical(t *testing.T) {
 	case <-time.After(60 * time.Second):
 		t.Fatal("interrupted sweepd did not exit")
 	}
-	if _, err := os.Stat(state); err != nil {
-		t.Fatalf("drain wrote no state file: %v", err)
-	}
 	if fi, err := os.Stat(cp); err != nil || fi.Size() == 0 {
 		t.Fatalf("drain flushed no checkpoint: %v", err)
 	}
-	var snapshot struct {
-		Pending []json.RawMessage `json:"pending"`
-	}
-	if b, err := os.ReadFile(state); err != nil || json.Unmarshal(b, &snapshot) != nil {
-		t.Fatalf("state file unreadable: %v", err)
-	}
-	t.Logf("drained with %d pending cell(s) snapshotted", len(snapshot.Pending))
 
-	// Resume: the server primes from the checkpoint and re-submits the
-	// snapshotted cells itself; every cell must answer with the reference
-	// run's exact bytes.
-	res := startSweepd(t, bin, "-checkpoint", cp, "-state", state, "-resume")
+	// Resume: the server primes from the checkpoint; every cell must answer
+	// with the reference run's exact bytes, from the checkpoint or computed
+	// afresh.
+	res := startSweepd(t, bin, "-checkpoint", cp, "-resume")
 	for _, cell := range e2eCells {
 		key, payload, err := res.submit(cell)
 		if err != nil {
@@ -233,8 +222,7 @@ func TestDrainResumeByteIdentical(t *testing.T) {
 func TestValidateOptions(t *testing.T) {
 	good := sweepdOptions{
 		Scale: 0.1, Cores: 4, MaxQueue: 128,
-		AdmitRate: 100, AdmitBurst: 10, JobTimeout: time.Minute,
-		DrainTimeout:  time.Second,
+		JobTimeout: time.Minute, DrainTimeout: time.Second,
 		QualityBudget: 0.05, CanaryRate: 0.05,
 	}
 	if err := validateOptions(good); err != nil {
@@ -246,12 +234,13 @@ func TestValidateOptions(t *testing.T) {
 		want   string
 	}{
 		{"scale", func(o *sweepdOptions) { o.Scale = 0 }, "-scale"},
+		{"max queue zero", func(o *sweepdOptions) { o.MaxQueue = 0 }, "-max-queue"},
 		{"job timeout", func(o *sweepdOptions) { o.JobTimeout = 0 }, "-job-timeout"},
 		{"drain timeout", func(o *sweepdOptions) { o.DrainTimeout = -time.Second }, "-drain-timeout"},
 		{"canary", func(o *sweepdOptions) { o.CanaryRate = 1.5 }, "-canary-rate"},
 		{"trace replay without dir", func(o *sweepdOptions) { o.TraceReplay = true }, "-trace-dir"},
 		{"bad trace verify", func(o *sweepdOptions) { o.TraceVerify = "sometimes" }, "-trace-verify"},
-		{"resume without files", func(o *sweepdOptions) { o.Resume = true }, "-resume"},
+		{"resume without checkpoint", func(o *sweepdOptions) { o.Resume = true }, "-resume"},
 	}
 	for _, tc := range bad {
 		o := good
@@ -265,62 +254,24 @@ func TestValidateOptions(t *testing.T) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
 	}
-	if !errors.Is(func() error { o := good; o.Resume = true; return validateOptions(o) }(), errResumeNeedsFile) {
-		t.Error("resume without files: wrong error identity")
+	if !errors.Is(func() error { o := good; o.Resume = true; return validateOptions(o) }(), errResumeNeedsCheckpoint) {
+		t.Error("resume without checkpoint: wrong error identity")
 	}
 }
 
-// TestDrainStateWriteFailureExits1: a drain whose state file cannot be
-// written has lost track of its pending cells, so sweepd must say so and
-// exit 1, not report a snapshot it never made and exit 0.
-func TestDrainStateWriteFailureExits1(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds the binary")
-	}
-	if runtime.GOOS == "windows" {
-		t.Skip("relies on SIGTERM delivery")
-	}
-	dir := t.TempDir()
-	state := filepath.Join(dir, "missing", "state.json")
-	p := startSweepd(t, buildSweepd(t, dir), "-state", state)
-	// An answered request means sweepd is serving, so its drain handler is
-	// installed.
-	resp, err := http.Get("http://" + p.addr + "/readyz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	p.cmd.Process.Signal(syscall.SIGTERM)
-	select {
-	case err := <-p.done:
-		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
-			t.Fatalf("sweepd exited %v after failing to write %s, want exit status 1", err, state)
-		}
-	case <-time.After(60 * time.Second):
-		p.cmd.Process.Kill()
-		t.Fatal("sweepd did not exit within 60s of SIGTERM")
-	}
-}
-
-// TestDrainReport pins where the drain log says pending cells went.
+// TestDrainReport pins what the drain log says about the submissions it
+// cancelled.
 func TestDrainReport(t *testing.T) {
 	cases := []struct {
-		left  int
-		state string
-		err   error
-		want  string
-		ok    bool
+		cancelled int
+		want      string
 	}{
-		{0, "s.json", nil, "all in-flight jobs completed", true},
-		{2, "s.json", nil, "2 cell(s) still pending, snapshotted to s.json", true},
-		{2, "", nil, "2 cell(s) still pending, dropped (no -state file)", true},
-		{2, "s.json", errors.New("disk full"), "state file not written, 2 pending cell(s) lost: disk full", false},
+		{0, "drain: all in-flight jobs completed"},
+		{2, "drain: cancelled 2 in-flight submission(s) at -drain-timeout"},
 	}
 	for _, tc := range cases {
-		msg, ok := drainReport(tc.left, tc.state, tc.err)
-		if !strings.Contains(msg, tc.want) || ok != tc.ok {
-			t.Errorf("drainReport(%d, %q, %v) = %q, %v; want %q, %v", tc.left, tc.state, tc.err, msg, ok, tc.want, tc.ok)
+		if msg := drainReport(tc.cancelled); !strings.Contains(msg, tc.want) {
+			t.Errorf("drainReport(%d) = %q, want %q", tc.cancelled, msg, tc.want)
 		}
 	}
 }

@@ -4,22 +4,21 @@
 // Usage:
 //
 //	sweepd -scale 0.1 [-addr :8734] [-max-queue 128]
-//	sweepd -checkpoint run.jsonl -state drain.json [-resume]
+//	sweepd -checkpoint run.jsonl [-resume]
 //	sweepd -trace-dir traces [-trace-replay] ...
 //
 // Jobs are single sweep cells (POST /v1/jobs, see internal/server); the
-// server memoizes results by content hash, computes each missing cell on
-// one runner with up to GOMAXPROCS at a time, and sheds load with 429 +
-// Retry-After when the token bucket or queue budget runs dry.
+// server memoizes results by cell key, computes each missing cell on one
+// runner with up to GOMAXPROCS at a time, and sheds load with 429 +
+// Retry-After when the queue budget is spent.
 //
 // On SIGTERM/SIGINT the server drains: admission closes (503), in-flight
 // jobs get up to -drain-timeout to finish (every completed result is already
-// in the -checkpoint file), the leftover cells are snapshotted to -state,
-// and the process exits 0 — or 1 if the state file could not be written.
-// Without -state the leftover cells are dropped, and the log says so. A
-// later run with -resume primes the runner from the checkpoint and
-// re-submits the snapshotted cells — the combined output is byte-identical
-// to an uninterrupted run.
+// in the -checkpoint file), the stragglers are cancelled, and the process
+// exits 0; the log says how many submissions were cancelled. A later run
+// with -resume primes the runner from the checkpoint: it answers every
+// checkpointed cell without simulating and recomputes the rest, each
+// byte-identical to an uninterrupted run.
 package main
 
 import (
@@ -66,17 +65,13 @@ func main() {
 		only  = flag.String("only", "", "comma-separated benchmark subset")
 		quiet = flag.Bool("quiet", false, "suppress progress logging")
 
-		maxQueue = flag.Int("max-queue", 128, "computes that may wait for or hold a run slot before new ones are shed with 429")
+		maxQueue = flag.Int("max-queue", 128, "computes that may wait for or hold a run slot before new ones are shed with 429 (at least 1)")
 
-		admitRate  = flag.Float64("admit-rate", 2000, "admission token-bucket refill rate (jobs/s)")
-		admitBurst = flag.Float64("admit-burst", 1000, "admission token-bucket burst")
+		jobTimeout = flag.Duration("job-timeout", 120*time.Second, "per-compute deadline, its wait for a run slot included; figure jobs honour it too")
 
-		jobTimeout = flag.Duration("job-timeout", 120*time.Second, "per-compute deadline, its wait for a slot included")
-
-		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long SIGTERM waits for in-flight jobs before snapshotting them")
-		statePath    = flag.String("state", "", "drain state file: pending cells land here on SIGTERM, -resume re-submits them")
+		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long SIGTERM waits for in-flight jobs before cancelling them")
 		checkpoint   = flag.String("checkpoint", "", "persist completed results to this JSONL file as they finish")
-		resume       = flag.Bool("resume", false, "prime the runner from -checkpoint and re-submit the -state cells at startup")
+		resume       = flag.Bool("resume", false, "prime the runner from -checkpoint: checkpointed cells are answered without simulating")
 
 		faultSeed  = flag.Uint64("seed", 1, "global fault-injection seed; results are deterministic in it at any concurrency")
 		faultModel = flag.String("fault-model", "flip", "fault manifestation: flip, stuck0, stuck1")
@@ -100,8 +95,6 @@ func main() {
 		Scale:         *scale,
 		Cores:         *cores,
 		MaxQueue:      *maxQueue,
-		AdmitRate:     *admitRate,
-		AdmitBurst:    *admitBurst,
 		JobTimeout:    *jobTimeout,
 		DrainTimeout:  *drainTimeout,
 		QualityBudget: *qualityBudget,
@@ -111,7 +104,6 @@ func main() {
 		TraceReplay:   *traceReplay,
 		TraceVerify:   *traceVerify,
 		Resume:        *resume,
-		StatePath:     *statePath,
 		Checkpoint:    *checkpoint,
 	}); err != nil {
 		fail(err)
@@ -151,11 +143,8 @@ func main() {
 		Scale:         *scale,
 		Cores:         *cores,
 		MaxQueue:      *maxQueue,
-		AdmitRate:     *admitRate,
-		AdmitBurst:    *admitBurst,
 		JobTimeout:    *jobTimeout,
 		DrainTimeout:  *drainTimeout,
-		StatePath:     *statePath,
 		FaultSeed:     *faultSeed,
 		FaultModel:    model,
 		QualityBudget: *qualityBudget,
@@ -188,52 +177,27 @@ func main() {
 	// the resolved address when -addr was :0.
 	fmt.Printf("sweepd: listening on %s\n", ln.Addr())
 
-	// Resume: re-submit the drained cells in the background (SubmitLocal
-	// skips admission and waits for a queue slot — resumed work is never
-	// shed). Cells whose results are already in the checkpoint complete
-	// instantly from the primed memo.
-	if *resume && *statePath != "" {
-		if cells, err := server.LoadState(*statePath); err != nil {
-			if !errors.Is(err, os.ErrNotExist) {
-				fail(err)
-			}
-		} else if len(cells) > 0 {
-			logf("resuming %d pending cell(s) from %s", len(cells), *statePath)
-			go func() {
-				for _, c := range cells {
-					if _, err := s.SubmitLocal(context.Background(), c); err != nil {
-						logf("resume %s: %v", c.Key(), err)
-					}
-				}
-				logf("resume complete")
-			}()
-		}
-	}
-
 	hs := newHTTPServer(s.Handler())
 
 	// SIGTERM/SIGINT: drain (stop admission, finish in-flight within
-	// -drain-timeout, snapshot stragglers to -state), then shut the listener
-	// down so Serve returns. drained carries whether the drain kept every
-	// pending cell it was asked to keep.
-	drained := make(chan bool, 1)
+	// -drain-timeout, cancel the stragglers), then shut the listener down so
+	// Serve returns. drained closes once Shutdown has returned.
+	drained := make(chan struct{})
 	go func() {
+		defer close(drained)
 		sig := <-sigs
 		logf("%v: draining (timeout %v)", sig, *drainTimeout)
-		left, err := s.Drain(context.Background())
-		msg, ok := drainReport(len(left), *statePath, err)
-		logf("%s", msg)
+		logf("%s", drainReport(s.Drain(context.Background())))
 		shctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		hs.Shutdown(shctx)
-		drained <- ok
 	}()
 
 	if err := hs.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fmt.Fprintf(os.Stderr, "sweepd: serve: %v\n", err)
 		os.Exit(1)
 	}
-	ok := <-drained
+	<-drained
 	s.Close()
 	if cp != nil {
 		if err := cp.Close(); err != nil {
@@ -241,24 +205,15 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	if !ok {
-		logf("exit 1")
-		os.Exit(1)
-	}
 	logf("exit 0")
 }
 
-// drainReport says where the cells a drain left pending went. It is not ok
-// when the state file could not be written.
-func drainReport(left int, statePath string, err error) (string, bool) {
-	switch {
-	case err != nil:
-		return fmt.Sprintf("drain: state file not written, %d pending cell(s) lost: %v", left, err), false
-	case left == 0:
-		return "drain: all in-flight jobs completed", true
-	case statePath == "":
-		return fmt.Sprintf("drain: %d cell(s) still pending, dropped (no -state file)", left), true
-	default:
-		return fmt.Sprintf("drain: %d cell(s) still pending, snapshotted to %s", left, statePath), true
+// drainReport says what a drain did with the submissions still in flight
+// at -drain-timeout. Their cells are in no resume record: a resubmission
+// computes them again.
+func drainReport(cancelled int) string {
+	if cancelled == 0 {
+		return "drain: all in-flight jobs completed"
 	}
+	return fmt.Sprintf("drain: cancelled %d in-flight submission(s) at -drain-timeout; resubmitted, their cells compute again", cancelled)
 }

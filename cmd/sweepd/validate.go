@@ -7,7 +7,7 @@ import (
 	"doppelganger/internal/flagcheck"
 )
 
-var errResumeNeedsFile = errors.New("-resume requires -state and/or -checkpoint (nothing to resume from)")
+var errResumeNeedsCheckpoint = errors.New("-resume requires -checkpoint (nothing to resume from)")
 
 // sweepdOptions carries the flag values validateOptions checks before the
 // server starts: every rejection here is a config that would otherwise fail
@@ -16,8 +16,6 @@ type sweepdOptions struct {
 	Scale         float64
 	Cores         int
 	MaxQueue      int
-	AdmitRate     float64
-	AdmitBurst    float64
 	JobTimeout    time.Duration
 	DrainTimeout  time.Duration
 	QualityBudget float64
@@ -27,7 +25,6 @@ type sweepdOptions struct {
 	TraceReplay   bool
 	TraceVerify   string
 	Resume        bool
-	StatePath     string
 	Checkpoint    string
 }
 
@@ -35,9 +32,7 @@ func validateOptions(o sweepdOptions) error {
 	if err := flagcheck.First(
 		flagcheck.PositiveScale("-scale", o.Scale),
 		flagcheck.AtLeast("-cores", o.Cores, 1),
-		flagcheck.NonNegative("-max-queue", o.MaxQueue),
-		flagcheck.PositiveScale("-admit-rate", o.AdmitRate),
-		flagcheck.PositiveScale("-admit-burst", o.AdmitBurst),
+		flagcheck.AtLeast("-max-queue", o.MaxQueue, 1),
 		flagcheck.PositiveDuration("-job-timeout", o.JobTimeout),
 		flagcheck.PositiveDuration("-drain-timeout", o.DrainTimeout),
 		flagcheck.PositiveFraction("-quality-budget", "e.g. 0.05", o.QualityBudget),
@@ -47,8 +42,8 @@ func validateOptions(o sweepdOptions) error {
 	); err != nil {
 		return err
 	}
-	if o.Resume && o.StatePath == "" && o.Checkpoint == "" {
-		return errResumeNeedsFile
+	if o.Resume && o.Checkpoint == "" {
+		return errResumeNeedsCheckpoint
 	}
 	return nil
 }

@@ -43,14 +43,6 @@ func AtLeast(flag string, v, min int) error {
 	return nil
 }
 
-// NonNegative rejects negative integers.
-func NonNegative(flag string, v int) error {
-	if v < 0 {
-		return fmt.Errorf("%s must be non-negative, got %d", flag, v)
-	}
-	return nil
-}
-
 // IntRange rejects integers outside [lo, hi]; unit labels the message
 // ("bits", "shards").
 func IntRange(flag string, v, lo, hi int, unit string) error {

@@ -21,8 +21,6 @@ func TestScalarChecks(t *testing.T) {
 		{"workers explicit negative", Workers("-workers", true, -2), "-workers"},
 		{"atleast ok", AtLeast("-cores", 1, 1), ""},
 		{"atleast bad", AtLeast("-cores", 0, 1), "-cores"},
-		{"nonneg ok", NonNegative("-retries", 0), ""},
-		{"nonneg bad", NonNegative("-retries", -1), "-retries"},
 		{"range ok", IntRange("-map", 14, 1, 32, "bits"), ""},
 		{"range low", IntRange("-map", 0, 1, 32, "bits"), "-map"},
 		{"range high", IntRange("-map", 33, 1, 32, "bits"), "between 1 and 32 bits"},
@@ -70,8 +68,8 @@ func TestFirst(t *testing.T) {
 	if First(nil, nil) != nil {
 		t.Fatal("First(nil, nil) != nil")
 	}
-	e := NonNegative("-x", -1)
-	if First(nil, e, NonNegative("-y", -1)) != e {
+	e := AtLeast("-x", 0, 1)
+	if First(nil, e, AtLeast("-y", 0, 1)) != e {
 		t.Fatal("First did not return the first error")
 	}
 }

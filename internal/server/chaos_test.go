@@ -95,7 +95,7 @@ func TestChaosExactlyOnceBitIdentical(t *testing.T) {
 			wg.Add(1)
 			go func(i int, c Cell) {
 				defer wg.Done()
-				res, err := s.SubmitLocal(context.Background(), c)
+				res, err := s.Submit(context.Background(), c)
 				replies <- reply{cell: i, res: res, err: err}
 			}(i, c)
 		}
@@ -145,7 +145,7 @@ func TestChaosExactlyOnceBitIdentical(t *testing.T) {
 		if failed[i] == 0 {
 			continue
 		}
-		res, err := s.SubmitLocal(context.Background(), c)
+		res, err := s.Submit(context.Background(), c)
 		if err != nil {
 			t.Fatalf("resubmitted %s: %v", c.Key(), err)
 		}

@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"os"
-	"path/filepath"
-	"strings"
+	"errors"
 	"testing"
 	"time"
 
@@ -22,7 +20,7 @@ func TestFigureCell(t *testing.T) {
 	cfg.Log = &logBuf
 	s := mustServer(t, cfg)
 	for _, fig := range []string{"table3", "fig13"} {
-		res, err := s.SubmitLocal(context.Background(), Cell{Kind: "figure", Figure: fig})
+		res, err := s.Submit(context.Background(), Cell{Kind: "figure", Figure: fig})
 		if err != nil {
 			t.Fatalf("figure %s: %v", fig, err)
 		}
@@ -39,6 +37,27 @@ func TestFigureCell(t *testing.T) {
 	}
 	if s.Metrics() == nil {
 		t.Fatal("Metrics() returned nil")
+	}
+}
+
+// TestFigureJobHonoursDeadline: a figure job computes its grid under the
+// job's context, so a job deadline shorter than the figure's compute fails
+// it with context.DeadlineExceeded instead of letting it run to the end.
+func TestFigureJobHonoursDeadline(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations")
+	}
+	cfg := testConfig()
+	cfg.JobTimeout = 10 * time.Millisecond
+	s := mustServer(t, cfg)
+	start := time.Now()
+	_, err := s.Submit(context.Background(), Cell{Kind: "figure", Figure: "fig9"})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("fig9 under a %v deadline: err = %v after %v, want context.DeadlineExceeded",
+			cfg.JobTimeout, err, time.Since(start).Round(time.Millisecond))
+	}
+	if n := s.m.timeouts.Value(); n != 1 {
+		t.Fatalf("timeouts counter = %d, want 1", n)
 	}
 }
 
@@ -67,39 +86,6 @@ func TestExecuteCellRemainingKinds(t *testing.T) {
 	}
 	if _, err := executeCell(context.Background(), r, Cell{Kind: "figure", Figure: "nope"}); err == nil {
 		t.Fatal("unknown figure accepted")
-	}
-}
-
-// TestStateFileErrors pins the drain state file's failure modes: missing
-// file, non-JSON garbage, and a future schema version are all distinct,
-// actionable errors.
-func TestStateFileErrors(t *testing.T) {
-	dir := t.TempDir()
-	if _, err := LoadState(filepath.Join(dir, "missing.json")); !os.IsNotExist(err) {
-		t.Fatalf("missing file: %v, want ErrNotExist", err)
-	}
-	garbage := filepath.Join(dir, "garbage.json")
-	os.WriteFile(garbage, []byte("not json"), 0o644)
-	if _, err := LoadState(garbage); err == nil || !strings.Contains(err.Error(), "state file") {
-		t.Fatalf("garbage file: %v", err)
-	}
-	future := filepath.Join(dir, "future.json")
-	os.WriteFile(future, []byte(`{"version":99,"pending":[]}`), 0o644)
-	if _, err := LoadState(future); err == nil || !strings.Contains(err.Error(), "version") {
-		t.Fatalf("future version: %v", err)
-	}
-
-	// Round trip, including the nil-slice normalization.
-	path := filepath.Join(dir, "state.json")
-	if err := WriteState(path, nil); err != nil {
-		t.Fatal(err)
-	}
-	cells, err := LoadState(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cells) != 0 {
-		t.Fatalf("empty state loaded %d cells", len(cells))
 	}
 }
 

@@ -1,12 +1,13 @@
 // Package server is the sweep engine as a service: an HTTP/JSON job server
-// that accepts sweep-cell submissions and memoizes results by content hash,
-// so the same cell is never simulated twice. A cell that misses the memo is
+// that accepts sweep-cell submissions and memoizes results by cell key, so
+// the same cell is never simulated twice. A cell that misses the memo is
 // computed on the submitting goroutine, on the server's one sweep.Runner,
-// holding one of GOMAXPROCS run slots. Around that sit token-bucket
-// admission, a queue budget that sheds with 429, a per-job deadline and a
-// graceful drain to a resumable state file. Cells are deterministic, so a
-// failed compute is not retried: the memo forgets it, and a resubmission
-// computes the cell afresh.
+// holding one of GOMAXPROCS run slots. Around that sit a queue budget that
+// sheds with 429, a per-job deadline and a graceful drain that cancels the
+// stragglers. The checkpoint is the one resume record: a server started
+// over it answers every recorded cell without simulating. Cells are
+// deterministic, so a failed compute is not retried: the memo forgets it,
+// and a resubmission computes the cell afresh.
 package server
 
 import (
@@ -219,9 +220,15 @@ func executeCell(ctx context.Context, r *sweep.Runner, c Cell) ([]byte, error) {
 		}
 		p.Quality = q
 	case "figure":
-		// A figure job computes its missing cells serially inside the runner
-		// (no per-cell cancellation), so it is the coarse-grained end of the
-		// job spectrum; the drain timeout still bounds it.
+		// Render's table builders take no context, so compute the figure's
+		// grid first under the job's: the job deadline and the drain's cancel
+		// reach its simulations, and Render then reads warm caches. A static
+		// table (nil Grid) simulates nothing.
+		if e, _ := sweep.ExperimentByName(c.Figure); e.Grid != nil {
+			if err := r.PrewarmContext(ctx, sweep.GridFor(c.Figure)); err != nil {
+				return nil, err
+			}
+		}
 		tables, err := r.Render(c.Figure)
 		if err != nil {
 			return nil, err
@@ -236,12 +243,10 @@ func executeCell(ctx context.Context, r *sweep.Runner, c Cell) ([]byte, error) {
 }
 
 // Result is the envelope a completed job returns: the deterministic payload
-// plus its integrity sum, and the volatile bookkeeping (content hash,
-// whether this response was served from the memo). Only Payload and Sum are
-// covered by the determinism contract.
+// plus its integrity sum, and whether this response was served from the
+// memo. Only Payload and Sum are covered by the determinism contract.
 type Result struct {
 	Key     string          `json:"key"`
-	Hash    string          `json:"hash"`
 	Payload json.RawMessage `json:"payload"`
 	Sum     uint64          `json:"sum"`
 	Cached  bool            `json:"cached,omitempty"`

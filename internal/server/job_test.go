@@ -83,31 +83,3 @@ func TestChecksumDetectsMutation(t *testing.T) {
 		}
 	}
 }
-
-// TestContentHashSeparatesConfigs verifies the memo key covers the knobs
-// that change result bytes: different cells, scales and seeds never collide
-// (on this small grid), while the same config hashes identically.
-func TestContentHashSeparatesConfigs(t *testing.T) {
-	mk := func(cfg Config) *Server {
-		return &Server{cfg: cfg.withDefaults()}
-	}
-	a := mk(Config{Scale: 0.02})
-	cell := Cell{Kind: "split-error", Bench: "kmeans", M: 14, Frac: 0.25}
-	if a.contentHash(cell) != mk(Config{Scale: 0.02}).contentHash(cell) {
-		t.Fatal("same config, same cell: hashes differ")
-	}
-	seen := map[string]string{}
-	add := func(label, h string) {
-		if prev, dup := seen[h]; dup {
-			t.Fatalf("content hash collision: %s and %s", prev, label)
-		}
-		seen[h] = label
-	}
-	add("base", a.contentHash(cell))
-	add("other cell", a.contentHash(Cell{Kind: "split-error", Bench: "kmeans", M: 13, Frac: 0.25}))
-	add("other kind", a.contentHash(Cell{Kind: "split-timing", Bench: "kmeans", M: 14, Frac: 0.25}))
-	add("other scale", mk(Config{Scale: 0.05}).contentHash(cell))
-	add("other fault seed", mk(Config{Scale: 0.02, FaultSeed: 7}).contentHash(cell))
-	add("other quality seed", mk(Config{Scale: 0.02, QualitySeed: 7}).contentHash(cell))
-	add("other budget", mk(Config{Scale: 0.02, QualityBudget: 0.1}).contentHash(cell))
-}

@@ -2,15 +2,11 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
-	"os"
 	"runtime"
 	"runtime/debug"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,16 +28,15 @@ var ErrDraining = errors.New("server: draining, not accepting jobs")
 // errClosed refuses a compute that would start after Close.
 var errClosed = errors.New("server: closed")
 
-// OverloadError is a load-shedding refusal (HTTP 429): the token bucket ran
-// dry or the queue budget is spent. RetryAfter is the server's own estimate
-// of when capacity will exist — the Retry-After header, verbatim.
+// OverloadError is a load-shedding refusal (HTTP 429): the queue budget is
+// spent. RetryAfter is the server's own estimate of when capacity will
+// exist — the Retry-After header, verbatim.
 type OverloadError struct {
 	RetryAfter time.Duration
-	Reason     string
 }
 
 func (e *OverloadError) Error() string {
-	return fmt.Sprintf("server: overloaded (%s), retry after %v", e.Reason, e.RetryAfter)
+	return fmt.Sprintf("server: overloaded (queue budget spent), retry after %v", e.RetryAfter)
 }
 
 // Config describes one Server. Zero values get the documented defaults.
@@ -59,24 +54,16 @@ type Config struct {
 	// no slot.
 	MaxQueue int
 
-	// AdmitRate and AdmitBurst shape the token bucket (default 2000/s, burst
-	// 1000). Memo cache hits spend tokens too: admission is the front door.
-	AdmitRate  float64
-	AdmitBurst float64
-
-	// JobTimeout bounds one compute, its wait for a slot included
+	// JobTimeout bounds one compute, its wait for a run slot included
 	// (default 120s).
 	JobTimeout time.Duration
 
-	// DrainTimeout bounds how long Drain waits for in-flight jobs before
-	// snapshotting the stragglers into the state file (default 30s).
+	// DrainTimeout bounds how long Drain waits for in-flight submissions
+	// before cancelling the stragglers (default 30s).
 	DrainTimeout time.Duration
-	// StatePath, when set, receives the drain state file (pending cells).
-	StatePath string
 
 	// Fault/quality knobs, passed straight to the runner (all seeds derive
 	// from (seed, task key), never from which goroutine computes a cell).
-	FaultRates    []float64
 	FaultSeed     uint64
 	FaultModel    faults.Model
 	QualityBudget float64
@@ -93,8 +80,8 @@ type Config struct {
 	TraceVerify  trace.VerifyMode
 
 	// Checkpoint, when non-nil, persists every completed result and primes
-	// the runner from already-loaded records (resume). The caller owns and
-	// closes it.
+	// the runner from already-loaded records (resume): it is the server's
+	// one resume record. The caller owns and closes it.
 	Checkpoint *sweep.Checkpoint
 
 	// Metrics receives all server and simulation instruments (created if
@@ -110,12 +97,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxQueue == 0 {
 		c.MaxQueue = 128
 	}
-	if c.AdmitRate == 0 {
-		c.AdmitRate = 2000
-	}
-	if c.AdmitBurst == 0 {
-		c.AdmitBurst = 1000
-	}
 	if c.JobTimeout == 0 {
 		c.JobTimeout = 120 * time.Second
 	}
@@ -129,16 +110,15 @@ func (c Config) withDefaults() Config {
 type serverMetrics struct {
 	accepted, completed, failed *metrics.Counter
 	cacheHits                   *metrics.Counter
-	shedRate, shedQueue         *metrics.Counter
+	shedQueue                   *metrics.Counter
 	rejectedDraining            *metrics.Counter
 	panics, timeouts            *metrics.Counter
 }
 
-// Server is the sweep service: admission, result memo, one runner, drain
-// state. Build with New, serve HTTP with Handler, stop with Drain + Close.
+// Server is the sweep service: queue budget, result memo, one runner. Build
+// with New, serve HTTP with Handler, stop with Drain + Close.
 type Server struct {
 	cfg    Config
-	admit  *tokenBucket
 	runner *sweep.Runner
 
 	// queue and run are semaphores. A compute holds a queue slot while it
@@ -148,8 +128,9 @@ type Server struct {
 	queue chan struct{}
 	run   chan struct{}
 
-	// results is the content-addressed memo: one compute per content hash,
-	// every concurrent submission of the same cell shares it. Failures are
+	// results is the memo, keyed by Cell.Key: the server's one runner fixes
+	// scale, cores, seeds and budgets, so the key names the bytes. Every
+	// concurrent submission of a cell shares its one compute. Failures are
 	// forgotten, so a shed or failed job does not poison the key.
 	results *singleflight.Memo[*Result]
 
@@ -158,10 +139,12 @@ type Server struct {
 	latency    *metrics.Histogram
 	depthGauge *metrics.Gauge
 
+	// inflight counts the submissions between acceptance and reply. A
+	// submission counts itself before it reads draining, and Drain sets
+	// draining before it reads inflight, so Drain either waits for a
+	// submission or the submission refuses itself.
 	draining atomic.Bool
-
-	pendingMu sync.Mutex
-	pending   map[string]*pendingEntry
+	inflight atomic.Int64
 
 	baseCtx context.Context
 	cancel  context.CancelFunc
@@ -185,11 +168,6 @@ type Server struct {
 	beforeCompute func(key string)
 }
 
-type pendingEntry struct {
-	cell Cell
-	n    int
-}
-
 // New builds a server. It computes on the goroutines that submit, so it
 // starts none of its own.
 func New(cfg Config) (*Server, error) {
@@ -207,12 +185,10 @@ func New(cfg Config) (*Server, error) {
 	baseCtx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:     cfg,
-		admit:   newTokenBucket(cfg.AdmitRate, cfg.AdmitBurst),
 		queue:   make(chan struct{}, cfg.MaxQueue),
 		run:     make(chan struct{}, runtime.GOMAXPROCS(0)),
 		results: singleflight.New[*Result](),
 		reg:     reg,
-		pending: make(map[string]*pendingEntry),
 		baseCtx: baseCtx,
 		cancel:  cancel,
 	}
@@ -221,7 +197,6 @@ func New(cfg Config) (*Server, error) {
 		completed:        reg.Counter("server.jobs.completed"),
 		failed:           reg.Counter("server.jobs.failed"),
 		cacheHits:        reg.Counter("server.jobs.cache_hits"),
-		shedRate:         reg.Counter("server.shed.rate"),
 		shedQueue:        reg.Counter("server.shed.queue"),
 		rejectedDraining: reg.Counter("server.rejected.draining"),
 		panics:           reg.Counter("server.shard.panics"),
@@ -258,12 +233,14 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 
+	// One worker: a figure job prewarms its grid serially, so it holds one
+	// run slot like any other compute.
 	r := sweep.NewRunner(cfg.Scale)
 	r.Cores = cfg.Cores
 	r.Only = cfg.Only
+	r.Workers = 1
 	r.Log = cfg.Log
 	r.Metrics = reg
-	r.FaultRates = cfg.FaultRates
 	r.FaultSeed = cfg.FaultSeed
 	r.FaultModel = cfg.FaultModel
 	r.QualityBudget = cfg.QualityBudget
@@ -280,70 +257,30 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// contentHash is the result-memo key: the cell identity plus every knob that
-// changes its bytes (scale, cores, seeds, budgets). A capture replays
-// bit-identically to the live run it recorded, so the trace directory's
-// contents are not part of the key, and a memo hit opens no file.
-func (s *Server) contentHash(c Cell) string {
-	budget := s.cfg.QualityBudget
-	if budget == 0 {
-		budget = sweep.DefaultQualityBudget
-	}
-	canary := s.cfg.CanaryRate
-	if canary == 0 {
-		canary = sweep.DefaultCanaryRate
-	}
-	h := fnv.New64a()
-	fmt.Fprintf(h, "sweepd1|%s|scale=%g|cores=%d|fseed=%d|fmodel=%s|qseed=%d|budget=%g|canary=%g",
-		c.Key(), s.cfg.Scale, s.cfg.Cores, s.cfg.FaultSeed, s.cfg.FaultModel, s.cfg.QualitySeed, budget, canary)
-	return fmt.Sprintf("%016x", h.Sum64())
-}
-
-// Submit is the front door: validation, drain refusal, token-bucket
-// admission, then the memo. A cell that misses the memo is shed with 429
-// when the queue budget is spent.
+// Submit is the front door: validation, drain refusal, then the memo. A
+// cell that misses the memo is computed on the calling goroutine, or shed
+// with 429 when the queue budget is spent; a memo hit takes no slot. The
+// submission counts as in flight, for Drain, until it is answered.
 func (s *Server) Submit(ctx context.Context, c Cell) (*Result, error) {
 	if err := c.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadCell, err)
 	}
+	s.inflight.Add(1)
+	defer s.inflight.Add(-1)
 	if s.draining.Load() {
 		s.m.rejectedDraining.Inc()
 		return nil, ErrDraining
 	}
-	if ok, retry := s.admit.admit(); !ok {
-		s.m.shedRate.Inc()
-		return nil, &OverloadError{RetryAfter: retry, Reason: "admission rate"}
-	}
-	return s.submit(ctx, c, true)
-}
-
-// SubmitLocal is Submit without admission control: the resume path (cells
-// re-entering from a drain state file) and in-process tests use it. A cell
-// that misses the memo waits for a queue slot instead of being shed.
-func (s *Server) SubmitLocal(ctx context.Context, c Cell) (*Result, error) {
-	if err := c.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadCell, err)
-	}
-	return s.submit(ctx, c, false)
-}
-
-// submit serves one validated cell from the memo, computing it on a miss.
-// The job is tracked as pending from acceptance to response — the drain
-// snapshot is exactly this set.
-func (s *Server) submit(ctx context.Context, c Cell, shed bool) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	key := c.Key()
-	s.addPending(key, c)
-	defer s.removePending(key)
 	s.m.accepted.Inc()
 	start := time.Now()
-	hash := s.contentHash(c)
+	key := c.Key()
 	computed := false
-	res, err := s.results.Do(hash, func() (*Result, error) {
+	res, err := s.results.Do(key, func() (*Result, error) {
 		computed = true
-		return s.compute(c, key, hash, shed)
+		return s.compute(c, key)
 	})
 	if err != nil {
 		var overload *OverloadError
@@ -366,14 +303,14 @@ func (s *Server) submit(ctx context.Context, c Cell, shed bool) (*Result, error)
 }
 
 // compute runs one cell that missed the memo, on the calling goroutine: it
-// takes a queue slot (shedding when shed is set and none is free), waits
-// for a run slot, then executes the cell on the runner and seals its
-// payload. Its context is the server's, not the submitter's: a canceled
-// client must not fail the compute out from under the other memo waiters.
+// takes a queue slot (shedding when none is free), waits for a run slot,
+// then executes the cell on the runner and seals its payload. Its context
+// is the server's, not the submitter's: a canceled client must not fail
+// the compute out from under the other memo waiters.
 // A panic fails only this compute; the memo hands the error to every
 // waiter and forgets the key. A cell is deterministic, so a failure is not
 // retried: it would fail again.
-func (s *Server) compute(c Cell, key, hash string, shed bool) (res *Result, err error) {
+func (s *Server) compute(c Cell, key string) (res *Result, err error) {
 	if !s.track() {
 		return nil, errClosed
 	}
@@ -389,14 +326,7 @@ func (s *Server) compute(c Cell, key, hash string, shed bool) (res *Result, err 
 	select {
 	case s.queue <- struct{}{}:
 	default:
-		if shed {
-			return nil, &OverloadError{RetryAfter: 250 * time.Millisecond, Reason: "queue depth"}
-		}
-		select {
-		case s.queue <- struct{}{}:
-		case <-ctx.Done():
-			return nil, fmt.Errorf("server: job %s got no queue slot: %w", key, ctx.Err())
-		}
+		return nil, &OverloadError{RetryAfter: 250 * time.Millisecond}
 	}
 	s.depthGauge.Add(1)
 	defer func() {
@@ -423,7 +353,7 @@ func (s *Server) compute(c Cell, key, hash string, shed bool) (res *Result, err 
 	if err != nil {
 		return nil, fmt.Errorf("server: job %s: %w", key, err)
 	}
-	return &Result{Key: key, Hash: hash, Payload: payload, Sum: checksum(payload)}, nil
+	return &Result{Key: key, Payload: payload, Sum: checksum(payload)}, nil
 }
 
 // track adds one compute to wg, unless Close has begun.
@@ -437,112 +367,26 @@ func (s *Server) track() bool {
 	return true
 }
 
-func (s *Server) addPending(key string, c Cell) {
-	s.pendingMu.Lock()
-	defer s.pendingMu.Unlock()
-	e := s.pending[key]
-	if e == nil {
-		e = &pendingEntry{cell: c}
-		s.pending[key] = e
-	}
-	e.n++
-}
-
-func (s *Server) removePending(key string) {
-	s.pendingMu.Lock()
-	defer s.pendingMu.Unlock()
-	if e := s.pending[key]; e != nil {
-		if e.n--; e.n <= 0 {
-			delete(s.pending, key)
-		}
-	}
-}
-
-func (s *Server) pendingCount() int {
-	s.pendingMu.Lock()
-	defer s.pendingMu.Unlock()
-	return len(s.pending)
-}
-
-// pendingCells snapshots the accepted-but-unanswered cells, sorted by key
-// for a deterministic state file.
-func (s *Server) pendingCells() []Cell {
-	s.pendingMu.Lock()
-	defer s.pendingMu.Unlock()
-	keys := make([]string, 0, len(s.pending))
-	for k := range s.pending {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	cells := make([]Cell, 0, len(keys))
-	for _, k := range keys {
-		cells = append(cells, s.pending[k].cell)
-	}
-	return cells
-}
-
 // Ready reports whether the server accepts work: true until Drain begins
 // (readyz turns 503).
 func (s *Server) Ready() bool { return !s.draining.Load() }
 
-// StateVersion is the drain state file's schema version.
-const StateVersion = 1
-
-// stateFile is the drain snapshot: the cells that were accepted but not
-// answered when the drain deadline hit. -resume re-submits them.
-type stateFile struct {
-	Version int    `json:"version"`
-	Pending []Cell `json:"pending"`
-}
-
-// WriteState writes the drain snapshot atomically (temp file + rename), so
-// a crash mid-write can never leave a torn state file.
-func WriteState(path string, cells []Cell) error {
-	if cells == nil {
-		cells = []Cell{}
-	}
-	b, err := json.MarshalIndent(stateFile{Version: StateVersion, Pending: cells}, "", "  ")
-	if err != nil {
-		return err
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(b, '\n'), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-// LoadState reads a drain snapshot, enforcing the schema version.
-func LoadState(path string) ([]Cell, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var st stateFile
-	if err := json.Unmarshal(b, &st); err != nil {
-		return nil, fmt.Errorf("server: state file %s: %v (not a drain state file?)", path, err)
-	}
-	if st.Version != StateVersion {
-		return nil, fmt.Errorf("server: state file %s is version %d, this binary reads %d", path, st.Version, StateVersion)
-	}
-	return st.Pending, nil
-}
-
 // Drain is the SIGTERM path: stop admission for good, wait (up to
-// DrainTimeout) for in-flight jobs to finish — every completed one is
-// already in the checkpoint — then snapshot whatever is left into the state
-// file and cancel the stragglers. Returns the leftover cells. Idempotent:
-// later calls return immediately.
-func (s *Server) Drain(ctx context.Context) ([]Cell, error) {
+// DrainTimeout) for the submissions in flight to be answered — every
+// completed result is already in the checkpoint — then cancel the
+// stragglers so their HTTP handlers return and the listener's Shutdown can
+// complete. It returns how many submissions it cancelled; resubmitted, their
+// cells compute again. Idempotent: later calls return 0 at once.
+func (s *Server) Drain(ctx context.Context) int {
 	if !s.draining.CompareAndSwap(false, true) {
-		return nil, nil
+		return 0
 	}
 	timeout := time.NewTimer(s.cfg.DrainTimeout)
 	defer timeout.Stop()
 	tick := time.NewTicker(5 * time.Millisecond)
 	defer tick.Stop()
 wait:
-	for s.pendingCount() > 0 {
+	for s.inflight.Load() > 0 {
 		select {
 		case <-tick.C:
 		case <-timeout.C:
@@ -551,17 +395,11 @@ wait:
 			break wait
 		}
 	}
-	left := s.pendingCells()
-	var err error
-	if s.cfg.StatePath != "" {
-		err = WriteState(s.cfg.StatePath, left)
-	}
-	// Abort the stragglers so their HTTP handlers return and the listener's
-	// Shutdown can complete; their cells are safe in the state file.
-	if len(left) > 0 {
+	left := int(s.inflight.Load())
+	if left > 0 {
 		s.cancel()
 	}
-	return left, err
+	return left
 }
 
 // Close hard-stops the server (in-flight computes abort, and Close waits
@@ -587,18 +425,18 @@ func (s *Server) Metrics() *metrics.Registry { return s.reg }
 
 // Stats is the /v1/stats payload.
 type Stats struct {
-	Draining   bool   `json:"draining"`
-	Ready      bool   `json:"ready"`
-	QueueDepth int64  `json:"queue_depth"`
-	Pending    int    `json:"pending"`
-	Accepted   uint64 `json:"accepted"`
-	Completed  uint64 `json:"completed"`
-	Failed     uint64 `json:"failed"`
-	CacheHits  uint64 `json:"cache_hits"`
-	Computes   int64  `json:"computes"`
-	ShedRate   uint64 `json:"shed_rate"`
-	ShedQueue  uint64 `json:"shed_queue"`
-	Panics     uint64 `json:"panics"`
+	Draining   bool  `json:"draining"`
+	Ready      bool  `json:"ready"`
+	QueueDepth int64 `json:"queue_depth"`
+	// Pending counts the submissions accepted and not yet answered.
+	Pending   int    `json:"pending"`
+	Accepted  uint64 `json:"accepted"`
+	Completed uint64 `json:"completed"`
+	Failed    uint64 `json:"failed"`
+	CacheHits uint64 `json:"cache_hits"`
+	Computes  int64  `json:"computes"`
+	ShedQueue uint64 `json:"shed_queue"`
+	Panics    uint64 `json:"panics"`
 
 	// Trace-store health: replayed/recorded captures, captures condemned to
 	// quarantine (then transparently re-recorded), and cells that degraded
@@ -617,13 +455,12 @@ func (s *Server) Stats() Stats {
 		Draining:   s.draining.Load(),
 		Ready:      s.Ready(),
 		QueueDepth: int64(len(s.queue)),
-		Pending:    s.pendingCount(),
+		Pending:    int(s.inflight.Load()),
 		Accepted:   s.m.accepted.Value(),
 		Completed:  s.m.completed.Value(),
 		Failed:     s.m.failed.Value(),
 		CacheHits:  s.m.cacheHits.Value(),
 		Computes:   s.Computes(),
-		ShedRate:   s.m.shedRate.Value(),
 		ShedQueue:  s.m.shedQueue.Value(),
 		Panics:     s.m.panics.Value(),
 

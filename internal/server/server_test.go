@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -164,44 +163,6 @@ func TestSubmitValidates(t *testing.T) {
 	}
 }
 
-// TestAdmissionSheds verifies the token bucket refuses with a positive
-// Retry-After once the burst is spent.
-func TestAdmissionSheds(t *testing.T) {
-	cfg := testConfig()
-	cfg.AdmitRate = 0.0001 // effectively no refill during the test
-	cfg.AdmitBurst = 2
-	s := mustServer(t, cfg)
-	cell := Cell{Kind: "baseline-timing", Bench: "kmeans"}
-
-	// Spend the burst without computing: drain tokens via shed-free
-	// cache-miss path is expensive, so spend them on invalid... no —
-	// admission runs after validation. Submit the same cell twice
-	// concurrently so both draw tokens but share one compute.
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := s.Submit(context.Background(), cell); err != nil {
-				t.Errorf("burst submission failed: %v", err)
-			}
-		}()
-	}
-	wg.Wait()
-
-	_, err := s.Submit(context.Background(), cell)
-	var overload *OverloadError
-	if !errors.As(err, &overload) {
-		t.Fatalf("err = %v, want OverloadError", err)
-	}
-	if overload.RetryAfter <= 0 {
-		t.Fatalf("Retry-After = %v, want positive", overload.RetryAfter)
-	}
-	if s.m.shedRate.Value() != 1 {
-		t.Fatalf("shed counter = %d, want 1", s.m.shedRate.Value())
-	}
-}
-
 // TestQueueSheds verifies the queue budget: with its one slot held by a
 // compute, a cell that misses the memo sheds with 429 instead of piling
 // up, while a resubmission of an already-computed cell is served from the
@@ -218,20 +179,13 @@ func TestQueueSheds(t *testing.T) {
 	s.beforeCompute = func(string) { <-block }
 	defer close(block)
 
-	go s.SubmitLocal(context.Background(), Cell{Kind: "split-error", Bench: "kmeans", M: 14, Frac: 0.25})
-	// Wait until the compute holds the slot so depth is visible.
-	deadline := time.Now().Add(5 * time.Second)
-	for s.Stats().QueueDepth < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("the compute never took a queue slot")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	go s.Submit(context.Background(), Cell{Kind: "split-error", Bench: "kmeans", M: 14, Frac: 0.25})
+	waitQueued(t, s)
 
 	_, err := s.Submit(context.Background(), Cell{Kind: "split-error", Bench: "kmeans", M: 14, Frac: 0.5})
 	var overload *OverloadError
-	if !errors.As(err, &overload) || !strings.Contains(overload.Reason, "queue") {
-		t.Fatalf("err = %v, want queue-depth OverloadError", err)
+	if !errors.As(err, &overload) || !strings.Contains(err.Error(), "queue budget") {
+		t.Fatalf("err = %v, want the queue budget's OverloadError", err)
 	}
 
 	res, err := s.Submit(context.Background(), computed)
@@ -243,13 +197,23 @@ func TestQueueSheds(t *testing.T) {
 	}
 }
 
-// TestDrainSnapshotsPending starts a job that outlives the drain window and
-// verifies Drain writes its cell to the state file, which LoadState round-
-// trips; the straggler is then aborted so the server can exit.
-func TestDrainSnapshotsPending(t *testing.T) {
-	cfg := testConfig()
-	cfg.StatePath = filepath.Join(t.TempDir(), "state.json")
-	s := mustServer(t, cfg)
+// waitQueued waits until a compute holds one of s's queue slots.
+func waitQueued(t *testing.T, s *Server) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for s.Stats().QueueDepth < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("the compute never took a queue slot")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestDrainCancelsStraggler starts a job that outlives the drain window:
+// Drain reports it as the one submission it cancelled, the straggler fails
+// with the cancellation, and every later submission is refused.
+func TestDrainCancelsStraggler(t *testing.T) {
+	s := mustServer(t, testConfig())
 	release := make(chan struct{})
 	s.beforeCompute = func(string) {
 		select {
@@ -261,52 +225,108 @@ func TestDrainSnapshotsPending(t *testing.T) {
 	cell := Cell{Kind: "baseline-timing", Bench: "kmeans"}
 	errc := make(chan error, 1)
 	go func() {
-		_, err := s.SubmitLocal(context.Background(), cell)
+		_, err := s.Submit(context.Background(), cell)
 		errc <- err
 	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for s.pendingCount() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("job never became pending")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitQueued(t, s)
 
-	left, err := s.Drain(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(left) != 1 || left[0] != cell {
-		t.Fatalf("drain left %+v, want the hanging cell", left)
-	}
-	loaded, err := LoadState(cfg.StatePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(loaded) != 1 || loaded[0] != cell {
-		t.Fatalf("state file round-trip = %+v, want %+v", loaded, cell)
+	if n := s.Drain(context.Background()); n != 1 {
+		t.Fatalf("Drain cancelled %d submissions, want the straggler", n)
 	}
 	close(release)
-	if err := <-errc; err == nil {
-		t.Fatal("aborted straggler reported success")
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("straggler err = %v, want context.Canceled", err)
 	}
-	// Once draining, new submissions are refused for good.
 	if _, err := s.Submit(context.Background(), cell); !errors.Is(err, ErrDraining) {
 		t.Fatalf("post-drain submit err = %v, want ErrDraining", err)
+	}
+	if n := s.Drain(context.Background()); n != 0 {
+		t.Fatalf("a second Drain cancelled %d submissions, want 0", n)
+	}
+}
+
+// TestCheckpointResumeSimulatesNothing: the checkpoint is the server's one
+// resume record. A server over a fresh checkpoint computes one cell of
+// each kind the checkpoint records; a second server resumed from the same
+// file answers every one byte-identically without simulating anything.
+func TestCheckpointResumeSimulatesNothing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations")
+	}
+	path := filepath.Join(t.TempDir(), "cp.jsonl")
+	cells := []Cell{
+		{Kind: "split-error", Bench: "kmeans", M: 14, Frac: 0.25},
+		{Kind: "split-timing", Bench: "kmeans", M: 14, Frac: 0.25},
+		{Kind: "uni-error", Bench: "kmeans", M: 14, Frac: 0.5},
+		{Kind: "uni-timing", Bench: "kmeans", M: 14, Frac: 0.5},
+		{Kind: "fault-error", Bench: "kmeans", Org: "doppel", Rate: 1e-4},
+		{Kind: "quality-error", Bench: "kmeans", Org: "doppel", Rate: 1e-4},
+		{Kind: "quality-timing", Bench: "kmeans", Org: "doppel", Rate: 1e-4, Guarded: true},
+	}
+	serve := func(resume bool) ([][]byte, *metrics.Registry) {
+		cp, err := sweep.OpenCheckpoint(path, resume)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := testConfig()
+		cfg.Checkpoint = cp
+		cfg.Metrics = metrics.NewRegistry()
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var payloads [][]byte
+		for _, c := range cells {
+			res, err := s.Submit(context.Background(), c)
+			if err != nil {
+				t.Fatalf("%s (resume %v): %v", c.Key(), resume, err)
+			}
+			payloads = append(payloads, res.Payload)
+		}
+		s.Close()
+		if err := cp.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return payloads, cfg.Metrics
+	}
+
+	want, first := serve(false)
+	if first.CounterValue("funcsim.loads") == 0 || first.CounterValue("timesim.instructions") == 0 {
+		t.Fatal("the first server simulated nothing")
+	}
+	got, resumed := serve(true)
+	for i, c := range cells {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Errorf("%s: resumed payload diverged\n  first:   %s\n  resumed: %s", c.Key(), want[i], got[i])
+		}
+	}
+	for _, name := range []string{"funcsim.loads", "timesim.instructions"} {
+		if v := resumed.CounterValue(name); v != 0 {
+			t.Errorf("the resumed server simulated: %s = %d, want 0", name, v)
+		}
 	}
 }
 
 // TestHTTPEndpoints exercises the wire: submit round-trip, health, metrics,
-// stats, and the error mappings (400 bad cell, 429 with Retry-After, 503
-// when draining).
+// stats, and the error mappings (400 bad cell, 429 with Retry-After when
+// the one queue slot is held, 503 when draining).
 func TestHTTPEndpoints(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
 	}
 	cfg := testConfig()
-	cfg.AdmitBurst = 2
-	cfg.AdmitRate = 0.0001
+	cfg.MaxQueue = 1
 	s := mustServer(t, cfg)
+	held := Cell{Kind: "baseline-timing", Bench: "kmeans"}
+	release := make(chan struct{})
+	s.beforeCompute = func(key string) {
+		if key == held.Key() {
+			select {
+			case <-release:
+			case <-time.After(10 * time.Second):
+			}
+		}
+	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -341,9 +361,15 @@ func TestHTTPEndpoints(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	// Burn the remaining token, then expect 429 + Retry-After.
-	post(`{"kind":"split-error","bench":"kmeans","m":14,"frac":0.25}`).Body.Close()
-	resp = post(`{"kind":"split-error","bench":"kmeans","m":14,"frac":0.25}`)
+	// Hold the one queue slot with a compute, then expect 429 +
+	// Retry-After for a cell that misses the memo.
+	heldErr := make(chan error, 1)
+	go func() {
+		_, err := s.Submit(context.Background(), held)
+		heldErr <- err
+	}()
+	waitQueued(t, s)
+	resp = post(`{"kind":"split-error","bench":"kmeans","m":14,"frac":0.5}`)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("shed status = %d, want 429", resp.StatusCode)
 	}
@@ -351,6 +377,10 @@ func TestHTTPEndpoints(t *testing.T) {
 		t.Fatal("429 without Retry-After")
 	}
 	resp.Body.Close()
+	close(release)
+	if err := <-heldErr; err != nil {
+		t.Fatalf("the compute holding the slot: %v", err)
+	}
 
 	for _, path := range []string{"/healthz", "/readyz", "/v1/stats", "/metrics"} {
 		r, err := http.Get(ts.URL + path)
@@ -363,8 +393,8 @@ func TestHTTPEndpoints(t *testing.T) {
 		r.Body.Close()
 	}
 
-	if _, err := s.Drain(context.Background()); err != nil {
-		t.Fatal(err)
+	if n := s.Drain(context.Background()); n != 0 {
+		t.Fatalf("Drain cancelled %d submissions with none in flight", n)
 	}
 	r, err := http.Get(ts.URL + "/readyz")
 	if err != nil {

@@ -273,7 +273,7 @@ func (r *Runner) runTasks(ctx context.Context, tasks []*task) error {
 				start := time.Now()
 				err := ctx.Err()
 				if err == nil {
-					err = r.runTask(ctx, t)
+					err = runTask(ctx, t)
 				}
 				mu.Lock()
 				if err != nil {
@@ -291,47 +291,15 @@ func (r *Runner) runTasks(ctx context.Context, tasks []*task) error {
 	return errors.Join(errs...)
 }
 
-// runTask executes one task with the Runner's bounded-retry policy: a
-// failure retries up to r.Retries times with exponentially growing backoff
-// (RetryBackoff, default 250 ms, doubling per attempt). Retries make sense
-// because failed keys are forgotten by the memo caches, so a retry really
-// recomputes. Cancellation short-circuits both the retries and the backoff
-// sleep.
-func (r *Runner) runTask(ctx context.Context, t *task) error {
-	backoff := r.RetryBackoff
-	if backoff <= 0 {
-		backoff = 250 * time.Millisecond
-	}
-	var err error
-	for attempt := 0; ; attempt++ {
-		err = r.runOnce(ctx, t)
-		if err == nil || attempt >= r.Retries || ctx.Err() != nil {
-			return err
-		}
-		r.logf("[retry %d/%d] %s: %v (backing off %s)", attempt+1, r.Retries, t.label, err, backoff)
-		select {
-		case <-time.After(backoff):
-		case <-ctx.Done():
-			return err
-		}
-		backoff *= 2
-	}
-}
-
-// runOnce is a single attempt: the task runs under the per-task deadline
-// (TaskTimeout, when set) and behind a panic shield, so a crashing
+// runTask executes one task behind a panic shield, so a crashing
 // simulation fails its own task with the stack attached instead of killing
-// the whole sweep process.
-func (r *Runner) runOnce(ctx context.Context, t *task) (err error) {
+// the whole sweep process. A task is deterministic, so a failure is not
+// retried: it would fail again.
+func runTask(ctx context.Context, t *task) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("panic: %v\n%s", p, debug.Stack())
 		}
 	}()
-	if r.TaskTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, r.TaskTimeout)
-		defer cancel()
-	}
 	return t.run(ctx)
 }

@@ -2,7 +2,6 @@ package sweep
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -117,79 +116,6 @@ func TestEngineTaskPanicIsolated(t *testing.T) {
 	}
 	if ran.Load() != 6 {
 		t.Errorf("%d of 6 healthy tasks ran after the crash", ran.Load())
-	}
-}
-
-// TestEngineTaskTimeout verifies the per-task deadline: a task that honours
-// its context fails with DeadlineExceeded instead of hanging the sweep.
-func TestEngineTaskTimeout(t *testing.T) {
-	r := NewRunner(1)
-	r.Workers = 1
-	r.TaskTimeout = 20 * time.Millisecond
-	err := r.runTasks(context.Background(), []*task{{label: "slow", run: func(ctx context.Context) error {
-		<-ctx.Done()
-		return ctx.Err()
-	}}})
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want DeadlineExceeded", err)
-	}
-}
-
-// TestEngineRetrySucceeds verifies the bounded-retry loop: a task failing
-// transiently succeeds within its retry budget, each attempt under a fresh
-// deadline, and a task exhausting the budget reports its last error.
-func TestEngineRetrySucceeds(t *testing.T) {
-	r := NewRunner(1)
-	r.Workers = 1
-	r.Retries = 2
-	r.RetryBackoff = time.Millisecond
-	var attempts atomic.Int64
-	flaky := &task{label: "flaky", run: func(context.Context) error {
-		if attempts.Add(1) < 3 {
-			return errTest
-		}
-		return nil
-	}}
-	if err := r.runTasks(context.Background(), []*task{flaky}); err != nil {
-		t.Fatalf("flaky task failed despite retries: %v", err)
-	}
-	if attempts.Load() != 3 {
-		t.Fatalf("attempts = %d, want 3", attempts.Load())
-	}
-
-	attempts.Store(0)
-	hopeless := &task{label: "hopeless", run: func(context.Context) error {
-		attempts.Add(1)
-		return errTest
-	}}
-	err := r.runTasks(context.Background(), []*task{hopeless})
-	if err == nil || !strings.Contains(err.Error(), "synthetic failure") {
-		t.Fatalf("err = %v, want the task's last error", err)
-	}
-	if attempts.Load() != 3 { // 1 + 2 retries
-		t.Fatalf("attempts = %d, want 3", attempts.Load())
-	}
-}
-
-// TestEngineRetryBackoffCancellable verifies cancellation cuts the backoff
-// sleep short instead of serving it out.
-func TestEngineRetryBackoffCancellable(t *testing.T) {
-	r := NewRunner(1)
-	r.Workers = 1
-	r.Retries = 1
-	r.RetryBackoff = time.Hour
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		cancel()
-	}()
-	start := time.Now()
-	err := r.runTasks(ctx, []*task{{label: "fail", run: func(context.Context) error { return errTest }}})
-	if err == nil {
-		t.Fatal("want failure")
-	}
-	if d := time.Since(start); d > 5*time.Second {
-		t.Fatalf("cancellation did not cut the backoff short (%v)", d)
 	}
 }
 

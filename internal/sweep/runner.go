@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"time"
 
 	"doppelganger/internal/approx"
 	"doppelganger/internal/core"
@@ -45,16 +44,6 @@ type Runner struct {
 	// Workers bounds the engine's concurrent simulations during Prewarm
 	// (0 means GOMAXPROCS). Results are identical for every worker count.
 	Workers int
-
-	// TaskTimeout, when positive, bounds each engine task attempt with a
-	// per-task deadline; a task that exceeds it fails (and may retry).
-	TaskTimeout time.Duration
-	// Retries is how many times the engine re-runs a failed task beyond the
-	// first attempt (0: fail immediately).
-	Retries int
-	// RetryBackoff is the initial sleep before a retry, doubling per attempt
-	// (0: 250ms).
-	RetryBackoff time.Duration
 
 	// FaultRates are the per-access fault probabilities the fault-sweep
 	// experiment evaluates (nil: DefaultFaultRates).
