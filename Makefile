@@ -9,7 +9,8 @@
 # SIGINT/checkpoint/resume path end to end; all three are folded into `race`.
 # `trace-smoke` proves the persistent trace cache end to end under the race
 # detector (capture, replay, strict-replay rejection, persist-failure
-# degradation, warm error cells that replay no hierarchy, the file digest and
+# degradation, warm error cells that replay no hierarchy, the pinned capture
+# identities and seeded results of the cell vocabulary, the file digest and
 # the decoded-capture LRU perfbench still uses; the facade's record/replay
 # through the same capture gateway and doppelsim's -savetrace/-replay round
 # trip) and is folded into `race` alongside the other smokes.
@@ -20,10 +21,11 @@
 # `server-smoke` proves the sweep server's robustness layer under the race
 # detector — the memoized compute, the chaos exactly-once/bit-identical
 # proof, a failed cell that fails alone, queue shedding that spares memo
-# hits, a drain that cancels its straggler, a figure job that honours its
-# deadline, a checkpoint resume that simulates nothing, the trace-dir round
-# trip with its memo hit after recording, the trace-cache leak tests, and
-# the sweepd drain/resume end to end — and is folded into `race`.
+# hits, a drain that cancels its straggler and answers it 503 over HTTP, a
+# figure job that honours its deadline, a checkpoint resume that simulates
+# nothing, the trace-dir round trip with its memo hit after recording, the
+# trace-cache leak tests, and the sweepd drain/resume end to end — and is
+# folded into `race`.
 # `fuzz-smoke` gives each fuzz target a short budget (Go allows one -fuzz
 # pattern per package invocation, hence one line per target).
 # `bench-smoke` runs one iteration of each per-figure benchmark (each fails
@@ -72,12 +74,12 @@ quality-smoke:
 	$(GO) test -race -run 'TestBreakerProperty|TestBreakerDeterminism' ./internal/quality/
 
 server-smoke:
-	$(GO) test -race -run 'TestSubmitMemoizesAndMatchesSerial|TestChaosExactlyOnceBitIdentical|TestFailedCellRefusesNoOther|TestQueueSheds|TestDrainCancelsStraggler|TestFigureJobHonoursDeadline|TestCheckpointResumeSimulatesNothing|TestHTTPEndpoints|TestServerTraceRoundTrip' ./internal/server/
+	$(GO) test -race -run 'TestSubmitMemoizesAndMatchesSerial|TestChaosExactlyOnceBitIdentical|TestFailedCellRefusesNoOther|TestQueueSheds|TestDrainCancelsStraggler|TestDrainCancelledJobAnswers503|TestFigureJobHonoursDeadline|TestCheckpointResumeSimulatesNothing|TestHTTPEndpoints|TestServerTraceRoundTrip' ./internal/server/
 	$(GO) test -race -run 'TestTraceCacheConcurrentCancelNoLeak|TestTraceCacheForgottenErrorUnderConcurrency' ./internal/sweep/
 	$(GO) test -run 'TestDrainResumeByteIdentical' ./cmd/sweepd/
 
 trace-smoke:
-	$(GO) test -race -cpu 1,4 -run 'TestTraceSmoke|TestTraceReplayRequiresCapture|TestTracePersistFailureDegradesLive|TestWarmErrorCellsReplayNothing' ./internal/sweep/
+	$(GO) test -race -cpu 1,4 -run 'TestTraceSmoke|TestTraceReplayRequiresCapture|TestTracePersistFailureDegradesLive|TestWarmErrorCellsReplayNothing|TestCellIdentitiesPinned' ./internal/sweep/
 	$(GO) test -race -run 'TestCapture|TestCursor|TestWriteFile|TestOpenStore|TestQuarantineOneWayDoor|TestVerifyFileModes|TestReadErrorClassification|TestDecodedDigestFields|TestDecodedCache' ./internal/trace/
 	$(GO) test -race -run 'TestFacadeTraceRecordReplay|TestFacadeTraceReplayRequiresCapture|TestFacadeCaptureMatchesSweep' .
 	$(GO) test -race -run 'TestSaveTraceReplay' ./cmd/doppelsim/

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -17,21 +18,14 @@ import (
 	"doppelganger/internal/trace"
 )
 
-// soakCell is one grid cell the soak's table is built from. The set is small
-// enough to re-run every round yet exercises both organizations, two
-// benchmarks and their shared precise baselines — five capture files total.
-type soakCell struct {
-	org  string
-	name string
-	m    int
-	frac float64
-}
-
-var soakCells = []soakCell{
-	{"split", "kmeans", 12, 0.25},
-	{"split", "kmeans", 14, 0.25},
-	{"unified", "kmeans", 14, 0.25},
-	{"split", "swaptions", 14, 0.25},
+// soakCells are the grid cells the soak's table is built from. The set is
+// small enough to re-run every round yet exercises both organizations, two
+// benchmarks and their shared precise baselines — six capture files total.
+var soakCells = []sweep.Cell{
+	{Kind: "split-error", Bench: "kmeans", M: 12, Frac: 0.25},
+	{Kind: "split-error", Bench: "kmeans", M: 14, Frac: 0.25},
+	{Kind: "uni-error", Bench: "kmeans", M: 14, Frac: 0.25},
+	{Kind: "split-error", Bench: "swaptions", M: 14, Frac: 0.25},
 }
 
 // Config parameterizes one soak.
@@ -126,15 +120,11 @@ func soakRunner(scale float64, dir string, fsys trace.FS) *sweep.Runner {
 func renderTable(r *sweep.Runner) (string, error) {
 	var b strings.Builder
 	for _, c := range soakCells {
-		f := r.SplitError
-		if c.org == "unified" {
-			f = r.UnifiedError
-		}
-		v, err := f(c.name, c.m, c.frac)
+		res, err := r.Run(context.Background(), c)
 		if err != nil {
-			return "", fmt.Errorf("%s/%s/m%d/f%g: %w", c.org, c.name, c.m, c.frac, err)
+			return "", fmt.Errorf("%s: %w", c.Key(), err)
 		}
-		fmt.Fprintf(&b, "%s %s m=%d f=%g %016x\n", c.org, c.name, c.m, c.frac, math.Float64bits(v))
+		fmt.Fprintf(&b, "%s %016x\n", c.Key(), math.Float64bits(res.Error))
 	}
 	return b.String(), nil
 }
@@ -273,7 +263,11 @@ func Run(cfg Config) (*Report, error) {
 		return fail(0, "cold pass diverged from golden:\n%s\nvs\n%s", got, golden)
 	}
 	rep.addRunnerCounters(cold)
-	logf("golden established (%d captures), %d rounds begin", len(soakCells)+1, cfg.Rounds)
+	files, err := captureFiles(dir)
+	if err != nil {
+		return fail(0, "list captures: %v", err)
+	}
+	logf("golden established (%d captures), %d rounds begin", len(files), cfg.Rounds)
 
 	for round := 1; round <= cfg.Rounds; round++ {
 		files, err := captureFiles(dir)

@@ -56,10 +56,9 @@ func main() {
 		canaryRate    = flag.Float64("canary-rate", 0.05, "quality-guard canary sampling rate (fraction of substitutions checked against the precise value)")
 		qualitySeed   = flag.Uint64("quality-seed", 1, "canary-sampling seed; the same seed reproduces the same canary sites")
 
-		traceDir     = flag.String("trace-dir", "", "persistent trace-cache directory: record each simulation's capture file on first run, replay it afterwards")
-		traceCapture = flag.Bool("trace-capture", false, "force re-recording captures in -trace-dir even when valid ones exist")
-		traceReplay  = flag.Bool("trace-replay", false, "forbid kernel execution: fail any simulation without a valid capture in -trace-dir")
-		traceVerify  = flag.String("trace-verify", "open", "startup scrub strictness for -trace-dir: off (sweep temp files only), open (verify each capture's digest), full (fully decode each capture)")
+		traceDir    = flag.String("trace-dir", "", "persistent trace-cache directory: record each simulation's capture file on first run, replay it afterwards (remove the directory to re-record)")
+		traceReplay = flag.Bool("trace-replay", false, "forbid kernel execution: fail any simulation without a valid capture in -trace-dir")
+		traceVerify = flag.String("trace-verify", "open", "startup scrub strictness for -trace-dir: off (sweep temp files only), open (verify each capture's digest), full (fully decode each capture)")
 
 		metricsOut = flag.String("metrics-out", "", "write the run's counter snapshot as JSONL to this file")
 		traceOut   = flag.String("trace-out", "", "write a Chrome-trace JSON (chrome://tracing) of the timing replays to this file")
@@ -83,7 +82,6 @@ func main() {
 		QualityBudgetSet: budgetSet,
 		CanaryRate:       *canaryRate,
 		TraceDir:         *traceDir,
-		TraceCapture:     *traceCapture,
 		TraceReplay:      *traceReplay,
 		TraceVerify:      *traceVerify,
 	}); err != nil {
@@ -215,17 +213,16 @@ func main() {
 	qc.AttachMetrics(reg)
 
 	opts := doppelganger.RunOptions{
-		Scale:        *scale,
-		MapBits:      *mapBits,
-		DataFrac:     *dataFrac,
-		Cores:        *cores,
-		Metrics:      reg,
-		Trace:        tw,
-		Faults:       inj,
-		Quality:      qc,
-		TraceDir:     *traceDir,
-		TraceCapture: *traceCapture,
-		TraceReplay:  *traceReplay,
+		Scale:       *scale,
+		MapBits:     *mapBits,
+		DataFrac:    *dataFrac,
+		Cores:       *cores,
+		Metrics:     reg,
+		Trace:       tw,
+		Faults:      inj,
+		Quality:     qc,
+		TraceDir:    *traceDir,
+		TraceReplay: *traceReplay,
 	}
 
 	// The functional-error measurement and the cycle-level timing

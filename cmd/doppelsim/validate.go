@@ -16,7 +16,6 @@ type simOptions struct {
 	QualityBudgetSet bool
 	CanaryRate       float64
 	TraceDir         string
-	TraceCapture     bool
 	TraceReplay      bool
 	TraceVerify      string
 }
@@ -39,7 +38,7 @@ func validateOptions(o simOptions) error {
 		flagcheck.Probability("-fault-rate", o.FaultRate),
 		budgetErr,
 		flagcheck.Probability("-canary-rate", o.CanaryRate),
-		flagcheck.TraceFlags(o.TraceDir, o.TraceCapture, o.TraceReplay),
+		flagcheck.TraceFlags(o.TraceDir, o.TraceReplay),
 		flagcheck.TraceVerify("-trace-verify", o.TraceVerify),
 	)
 }

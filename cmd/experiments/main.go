@@ -78,10 +78,9 @@ func main() {
 		canaryRate    = flag.Float64("canary-rate", 0.05, "quality-guard canary sampling rate (fraction of substitutions checked precisely)")
 		qualitySeed   = flag.Uint64("quality-seed", 1, "global canary-sampling seed; results are deterministic in it at any worker count")
 
-		traceDir     = flag.String("trace-dir", "", "persistent trace-cache directory: record each functional cell's capture on first run, replay on later sweeps (zero kernel executions when warm)")
-		traceCapture = flag.Bool("trace-capture", false, "force re-recording captures in -trace-dir even when valid ones exist")
-		traceReplay  = flag.Bool("trace-replay", false, "forbid kernel execution: fail any cell without a valid capture in -trace-dir")
-		traceVerify  = flag.String("trace-verify", "open", "startup scrub strictness for -trace-dir: off (sweep temp files only), open (verify each capture's digest), full (fully decode each capture)")
+		traceDir    = flag.String("trace-dir", "", "persistent trace-cache directory: record each functional cell's capture on first run, replay on later sweeps (zero kernel executions when warm; remove the directory to re-record)")
+		traceReplay = flag.Bool("trace-replay", false, "forbid kernel execution: fail any cell without a valid capture in -trace-dir")
+		traceVerify = flag.String("trace-verify", "open", "startup scrub strictness for -trace-dir: off (sweep temp files only), open (verify each capture's digest), full (fully decode each capture)")
 
 		metricsOut = flag.String("metrics-out", "", "write per-task + total counter snapshots as JSONL to this file")
 		traceOut   = flag.String("trace-out", "", "write a Chrome-trace JSON (chrome://tracing) of every timing run to this file")
@@ -102,7 +101,6 @@ func main() {
 		QualityBudget: *qualityBudget,
 		CanaryRate:    *canaryRate,
 		TraceDir:      *traceDir,
-		TraceCapture:  *traceCapture,
 		TraceReplay:   *traceReplay,
 		TraceVerify:   *traceVerify,
 		Format:        *format,
@@ -164,7 +162,6 @@ func main() {
 				rep.TempsRemoved, rep.Quarantined, rep.Unreadable, rep.Verified)
 		}
 		r.TraceDir = *traceDir
-		r.TraceCapture = *traceCapture
 		r.TraceReplay = *traceReplay
 	}
 

@@ -25,7 +25,6 @@ type sweepOptions struct {
 	QualityBudget float64
 	CanaryRate    float64
 	TraceDir      string
-	TraceCapture  bool
 	TraceReplay   bool
 	TraceVerify   string
 	Format        string
@@ -40,7 +39,7 @@ func validateOptions(o sweepOptions) error {
 		flagcheck.Workers("-workers", o.WorkersSet, o.Workers),
 		flagcheck.PositiveFraction("-quality-budget", "e.g. 0.05", o.QualityBudget),
 		flagcheck.Probability("-canary-rate", o.CanaryRate),
-		flagcheck.TraceFlags(o.TraceDir, o.TraceCapture, o.TraceReplay),
+		flagcheck.TraceFlags(o.TraceDir, o.TraceReplay),
 		flagcheck.TraceVerify("-trace-verify", o.TraceVerify),
 		checkFormat(o.Format),
 	)

@@ -80,10 +80,9 @@ func main() {
 		canaryRate    = flag.Float64("canary-rate", 0.05, "quality-guard canary sampling rate")
 		qualitySeed   = flag.Uint64("quality-seed", 1, "global canary-sampling seed")
 
-		traceDir     = flag.String("trace-dir", "", "persistent trace-cache directory (record on first run, replay after)")
-		traceCapture = flag.Bool("trace-capture", false, "force re-recording captures in -trace-dir")
-		traceReplay  = flag.Bool("trace-replay", false, "forbid kernel execution: fail any cell without a valid capture")
-		traceVerify  = flag.String("trace-verify", "open", "startup scrub strictness for -trace-dir: off (sweep temp files only), open (verify each capture's digest), full (fully decode each capture)")
+		traceDir    = flag.String("trace-dir", "", "persistent trace-cache directory (record on first run, replay after; remove it to re-record)")
+		traceReplay = flag.Bool("trace-replay", false, "forbid kernel execution: fail any cell without a valid capture")
+		traceVerify = flag.String("trace-verify", "open", "startup scrub strictness for -trace-dir: off (sweep temp files only), open (verify each capture's digest), full (fully decode each capture)")
 	)
 	flag.Parse()
 
@@ -100,7 +99,6 @@ func main() {
 		QualityBudget: *qualityBudget,
 		CanaryRate:    *canaryRate,
 		TraceDir:      *traceDir,
-		TraceCapture:  *traceCapture,
 		TraceReplay:   *traceReplay,
 		TraceVerify:   *traceVerify,
 		Resume:        *resume,
@@ -151,7 +149,6 @@ func main() {
 		QualitySeed:   *qualitySeed,
 		CanaryRate:    *canaryRate,
 		TraceDir:      *traceDir,
-		TraceCapture:  *traceCapture,
 		TraceReplay:   *traceReplay,
 		TraceVerify:   verifyMode,
 		Checkpoint:    cp,

@@ -21,7 +21,6 @@ type sweepdOptions struct {
 	QualityBudget float64
 	CanaryRate    float64
 	TraceDir      string
-	TraceCapture  bool
 	TraceReplay   bool
 	TraceVerify   string
 	Resume        bool
@@ -37,7 +36,7 @@ func validateOptions(o sweepdOptions) error {
 		flagcheck.PositiveDuration("-drain-timeout", o.DrainTimeout),
 		flagcheck.PositiveFraction("-quality-budget", "e.g. 0.05", o.QualityBudget),
 		flagcheck.Probability("-canary-rate", o.CanaryRate),
-		flagcheck.TraceFlags(o.TraceDir, o.TraceCapture, o.TraceReplay),
+		flagcheck.TraceFlags(o.TraceDir, o.TraceReplay),
 		flagcheck.TraceVerify("-trace-verify", o.TraceVerify),
 	); err != nil {
 		return err

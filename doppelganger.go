@@ -276,12 +276,10 @@ type RunOptions struct {
 	// without executing any kernel. Runs with Faults or Quality attached are
 	// exempt from routing (their injector identity is not knowable here) and
 	// always execute live; the precise reference run is always eligible.
-	// TraceCapture forces re-recording even over a valid capture;
 	// TraceReplay forbids kernel execution, failing eligible runs that have
-	// no valid capture. Both require TraceDir.
-	TraceDir     string
-	TraceCapture bool
-	TraceReplay  bool
+	// no valid capture; it requires TraceDir.
+	TraceDir    string
+	TraceReplay bool
 }
 
 func (o *RunOptions) defaults(kind LLCKind) {
@@ -323,7 +321,7 @@ func cellKey(name string, kind LLCKind, opt *RunOptions) string {
 // o.Metrics under trace.*, matching the sweep runner's instrumentation.
 func (o *RunOptions) runCell(ctx context.Context, name, key string, b *workloads.Benchmark,
 	llcb workloads.LLCBuilder, ropt workloads.RunOptions) (*workloads.RunResult, error) {
-	g := workloads.CaptureGateway{Dir: o.TraceDir, Capture: o.TraceCapture, Replay: o.TraceReplay, Metrics: o.Metrics}
+	g := workloads.CaptureGateway{Dir: o.TraceDir, Replay: o.TraceReplay, Metrics: o.Metrics}
 	return g.Run(ctx, workloads.CaptureCell{Key: key, Header: trace.FileHeader{
 		Benchmark: name, Scale: o.Scale, Cores: o.Cores, ConfigKey: workloads.CaptureIdent(key, o.Scale, o.Cores, ""),
 	}}, b, llcb, ropt)

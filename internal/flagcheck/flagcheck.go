@@ -88,14 +88,11 @@ func PositiveDuration(flag string, d time.Duration) error {
 	return nil
 }
 
-// TraceFlags checks the trace-cache flag triple shared by every binary:
-// capture/replay require a directory and are mutually exclusive.
-func TraceFlags(dir string, capture, replay bool) error {
-	if (capture || replay) && dir == "" {
-		return fmt.Errorf("-trace-capture and -trace-replay require -trace-dir")
-	}
-	if capture && replay {
-		return fmt.Errorf("-trace-capture and -trace-replay are mutually exclusive (capture re-records, replay forbids recording)")
+// TraceFlags checks the trace-cache flags shared by every binary:
+// -trace-replay requires a directory to replay from.
+func TraceFlags(dir string, replay bool) error {
+	if replay && dir == "" {
+		return fmt.Errorf("-trace-replay requires -trace-dir")
 	}
 	return nil
 }

@@ -34,9 +34,8 @@ func TestScalarChecks(t *testing.T) {
 		{"posfrac inf", PositiveFraction("-quality-budget", "e.g. 0.05", math.Inf(1)), "e.g. 0.05"},
 		{"duration ok", PositiveDuration("-hedge-after", time.Second), ""},
 		{"duration zero", PositiveDuration("-hedge-after", 0), "-hedge-after"},
-		{"trace ok", TraceFlags("dir", true, false), ""},
-		{"trace missing dir", TraceFlags("", true, false), "-trace-dir"},
-		{"trace both", TraceFlags("dir", true, true), "mutually exclusive"},
+		{"trace ok", TraceFlags("dir", true), ""},
+		{"trace missing dir", TraceFlags("", true), "-trace-dir"},
 	}
 	for _, tc := range cases {
 		switch {

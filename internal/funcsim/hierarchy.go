@@ -31,6 +31,16 @@ type Config struct {
 	L2    cache.Config // per core
 }
 
+// Table1Config returns the private-cache configuration of the paper's
+// Table 1: 16 KB 4-way L1 and 128 KB 8-way L2, per core.
+func Table1Config(cores int) Config {
+	return Config{
+		Cores: cores,
+		L1:    cache.Config{Name: "L1", SizeBytes: 16 << 10, Ways: 4},
+		L2:    cache.Config{Name: "L2", SizeBytes: 128 << 10, Ways: 8},
+	}
+}
+
 // Stats counts functional hierarchy events.
 type Stats struct {
 	Loads, Stores        uint64

@@ -61,9 +61,9 @@ func TestFigureJobHonoursDeadline(t *testing.T) {
 	}
 }
 
-// TestExecuteCellRemainingKinds drives the executeCell arms the other tests
-// do not reach (unified timing, guarded and unguarded quality timing) on a
-// bare runner, pinning that each produces a timing payload.
+// TestExecuteCellRemainingKinds drives executeCell on a bare runner with
+// the kinds the other tests do not submit (unified timing, guarded and
+// unguarded quality timing), pinning that each produces a timing payload.
 func TestExecuteCellRemainingKinds(t *testing.T) {
 	r := sweep.NewRunner(0.02)
 	r.Only = []string{"kmeans"}

@@ -22,7 +22,9 @@ import (
 var ErrBadCell = errors.New("server: invalid cell")
 
 // ErrDraining is returned once Drain has begun: admission is closed for good
-// (HTTP 503); clients should fail over to another instance.
+// (HTTP 503); clients should fail over to another instance. A submission
+// the drain cancels fails with an error matching both it and
+// context.Canceled.
 var ErrDraining = errors.New("server: draining, not accepting jobs")
 
 // errClosed refuses a compute that would start after Close.
@@ -74,10 +76,9 @@ type Config struct {
 	// sweep replays). TraceVerify selects how hard the startup janitor
 	// checks each capture before the server reports ready (default
 	// trace.VerifyOff; the sweepd flag defaults to "open").
-	TraceDir     string
-	TraceCapture bool
-	TraceReplay  bool
-	TraceVerify  trace.VerifyMode
+	TraceDir    string
+	TraceReplay bool
+	TraceVerify trace.VerifyMode
 
 	// Checkpoint, when non-nil, persists every completed result and primes
 	// the runner from already-loaded records (resume): it is the server's
@@ -146,8 +147,10 @@ type Server struct {
 	draining atomic.Bool
 	inflight atomic.Int64
 
+	// baseCtx parents every compute's context. Drain cancels it with
+	// ErrDraining as the cause, Close with errClosed.
 	baseCtx context.Context
-	cancel  context.CancelFunc
+	cancel  context.CancelCauseFunc
 
 	// wg counts the computes in flight, for Close to wait on. closed, under
 	// closeMu, stops new computes joining it once Close has begun, so no
@@ -182,7 +185,7 @@ func New(cfg Config) (*Server, error) {
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
-	baseCtx, cancel := context.WithCancel(context.Background())
+	baseCtx, cancel := context.WithCancelCause(context.Background())
 	s := &Server{
 		cfg:     cfg,
 		queue:   make(chan struct{}, cfg.MaxQueue),
@@ -212,7 +215,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.TraceDir != "" {
 		st, err := trace.OpenStore(trace.OS, cfg.TraceDir, cfg.TraceVerify)
 		if err != nil {
-			cancel()
+			cancel(err)
 			return nil, err
 		}
 		s.traceStore = st
@@ -247,7 +250,6 @@ func New(cfg Config) (*Server, error) {
 	r.QualitySeed = cfg.QualitySeed
 	r.CanaryRate = cfg.CanaryRate
 	r.TraceDir = cfg.TraceDir
-	r.TraceCapture = cfg.TraceCapture
 	r.TraceReplay = cfg.TraceReplay
 	r.Checkpoint = cfg.Checkpoint
 	if cfg.Checkpoint != nil {
@@ -284,9 +286,12 @@ func (s *Server) Submit(ctx context.Context, c Cell) (*Result, error) {
 	})
 	if err != nil {
 		var overload *OverloadError
-		if errors.As(err, &overload) {
+		switch {
+		case errors.As(err, &overload):
 			s.m.shedQueue.Inc()
-		} else {
+		case errors.Is(err, ErrDraining):
+			s.m.rejectedDraining.Inc()
+		default:
 			s.m.failed.Inc()
 		}
 		return nil, err
@@ -306,7 +311,8 @@ func (s *Server) Submit(ctx context.Context, c Cell) (*Result, error) {
 // takes a queue slot (shedding when none is free), waits for a run slot,
 // then executes the cell on the runner and seals its payload. Its context
 // is the server's, not the submitter's: a canceled client must not fail
-// the compute out from under the other memo waiters.
+// the compute out from under the other memo waiters. A compute the drain
+// cancels fails with ErrDraining as well as the cancellation.
 // A panic fails only this compute; the memo hands the error to every
 // waiter and forgets the key. A cell is deterministic, so a failure is not
 // retried: it would fail again.
@@ -318,8 +324,12 @@ func (s *Server) compute(c Cell, key string) (res *Result, err error) {
 	ctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.JobTimeout)
 	defer cancel()
 	defer func() {
-		if err != nil && errors.Is(ctx.Err(), context.DeadlineExceeded) {
+		switch {
+		case err == nil:
+		case errors.Is(ctx.Err(), context.DeadlineExceeded):
 			s.m.timeouts.Inc()
+		case errors.Is(context.Cause(ctx), ErrDraining):
+			err = fmt.Errorf("%w: %w", ErrDraining, err)
 		}
 	}()
 
@@ -397,7 +407,7 @@ wait:
 	}
 	left := int(s.inflight.Load())
 	if left > 0 {
-		s.cancel()
+		s.cancel(ErrDraining)
 	}
 	return left
 }
@@ -409,7 +419,7 @@ func (s *Server) Close() {
 	s.closeMu.Lock()
 	s.closed = true
 	s.closeMu.Unlock()
-	s.cancel()
+	s.cancel(errClosed)
 	s.wg.Wait()
 	if s.traceStore != nil {
 		s.traceStore.Close()
@@ -436,7 +446,10 @@ type Stats struct {
 	CacheHits uint64 `json:"cache_hits"`
 	Computes  int64  `json:"computes"`
 	ShedQueue uint64 `json:"shed_queue"`
-	Panics    uint64 `json:"panics"`
+	// RejectedDraining counts the submissions refused or cancelled because
+	// the server is draining (answered 503).
+	RejectedDraining uint64 `json:"rejected_draining"`
+	Panics           uint64 `json:"panics"`
 
 	// Trace-store health: replayed/recorded captures, captures condemned to
 	// quarantine (then transparently re-recorded), and cells that degraded
@@ -463,6 +476,8 @@ func (s *Server) Stats() Stats {
 		Computes:   s.Computes(),
 		ShedQueue:  s.m.shedQueue.Value(),
 		Panics:     s.m.panics.Value(),
+
+		RejectedDraining: s.m.rejectedDraining.Value(),
 
 		TraceReplays: s.reg.CounterValue("trace.replays"),
 		TraceRecords: s.reg.CounterValue("trace.records"),

@@ -234,14 +234,72 @@ func TestDrainCancelsStraggler(t *testing.T) {
 		t.Fatalf("Drain cancelled %d submissions, want the straggler", n)
 	}
 	close(release)
-	if err := <-errc; !errors.Is(err, context.Canceled) {
-		t.Fatalf("straggler err = %v, want context.Canceled", err)
+	if err := <-errc; !errors.Is(err, context.Canceled) || !errors.Is(err, ErrDraining) {
+		t.Fatalf("straggler err = %v, want context.Canceled and ErrDraining", err)
+	}
+	if failed, refused := s.m.failed.Value(), s.m.rejectedDraining.Value(); failed != 0 || refused != 1 {
+		t.Fatalf("straggler counted %d failed, %d refused for draining; want 0 and 1", failed, refused)
 	}
 	if _, err := s.Submit(context.Background(), cell); !errors.Is(err, ErrDraining) {
 		t.Fatalf("post-drain submit err = %v, want ErrDraining", err)
 	}
 	if n := s.Drain(context.Background()); n != 0 {
 		t.Fatalf("a second Drain cancelled %d submissions, want 0", n)
+	}
+}
+
+// TestDrainCancelledJobAnswers503: over HTTP, a job the drain cancels is
+// answered as a submission refused for draining — 503 with Retry-After, so
+// the client resubmits elsewhere — and /v1/stats does not count it as a
+// failed job.
+func TestDrainCancelledJobAnswers503(t *testing.T) {
+	s := mustServer(t, testConfig())
+	release := make(chan struct{})
+	s.beforeCompute = func(string) {
+		select {
+		case <-release:
+		case <-time.After(10 * time.Second):
+		}
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	replies := make(chan *http.Response, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
+			strings.NewReader(`{"kind":"baseline-timing","bench":"kmeans"}`))
+		if err != nil {
+			t.Error(err)
+		}
+		replies <- resp
+	}()
+	waitQueued(t, s)
+	if n := s.Drain(context.Background()); n != 1 {
+		t.Fatalf("Drain cancelled %d submissions, want the straggler", n)
+	}
+	close(release)
+	resp := <-replies
+	if resp == nil {
+		t.FailNow()
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") != "1" {
+		t.Fatalf("cancelled job answered %d with Retry-After %q, want 503 and 1",
+			resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+
+	r, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Body.Close()
+	var st Stats
+	if err := json.NewDecoder(r.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Failed != 0 || st.RejectedDraining != 1 {
+		t.Fatalf("/v1/stats counts %d failed and %d refused for draining, want 0 and 1",
+			st.Failed, st.RejectedDraining)
 	}
 }
 

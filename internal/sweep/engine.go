@@ -107,101 +107,75 @@ func (r *Runner) PrewarmContext(ctx context.Context, g Grid) error {
 	}
 	var tasks []*task
 	for _, name := range benchmarks {
-		name := name
-		base := &task{label: name + "/baseline", run: func(ctx context.Context) error {
-			_, err := r.BaselineContext(ctx, name)
-			return err
-		}}
+		base := r.cellTask(Cell{Kind: "baseline-timing", Bench: name})
 		tasks = append(tasks, base)
-
-		seen := map[string]bool{}
-		variant := func(label string, run func(ctx context.Context) error) {
-			if seen[label] {
-				return
-			}
-			seen[label] = true
-			t := &task{label: label, run: run, waiting: 1}
+		for _, c := range r.gridCells(g, name) {
+			t := r.cellTask(c)
+			t.waiting = 1
 			base.dependents = append(base.dependents, t)
 			tasks = append(tasks, t)
 		}
-		split := func(m int, frac float64) {
-			variant(fmt.Sprintf("%s/split/M%d/data%g/error", name, m, frac), func(ctx context.Context) error {
-				_, err := r.SplitErrorContext(ctx, name, m, frac)
-				return err
-			})
-			variant(fmt.Sprintf("%s/split/M%d/data%g/timing", name, m, frac), func(ctx context.Context) error {
-				_, err := r.SplitTimingContext(ctx, name, m, frac)
-				return err
-			})
+	}
+	return r.runTasks(ctx, tasks)
+}
+
+// cellTask is the engine task that Runs c, labeled with its Key.
+func (r *Runner) cellTask(c Cell) *task {
+	return &task{label: c.Key(), run: func(ctx context.Context) error {
+		_, err := r.Run(ctx, c)
+		return err
+	}}
+}
+
+// gridCells expands the grid for one benchmark into the cells that depend
+// on its baseline, each once, in a fixed order.
+func (r *Runner) gridCells(g Grid, name string) []Cell {
+	var cells []Cell
+	seen := map[string]bool{}
+	add := func(c Cell) {
+		c.Bench = name
+		if !seen[c.Key()] {
+			seen[c.Key()] = true
+			cells = append(cells, c)
 		}
-		for _, m := range g.MapSpaces {
-			split(m, BaseDataFrac)
+	}
+	split := func(m int, frac float64) {
+		add(Cell{Kind: "split-error", M: m, Frac: frac})
+		add(Cell{Kind: "split-timing", M: m, Frac: frac})
+	}
+	for _, m := range g.MapSpaces {
+		split(m, BaseDataFrac)
+	}
+	for _, frac := range g.DataFracs {
+		split(BaseMapBits, frac)
+	}
+	for _, frac := range g.UniFracs {
+		add(Cell{Kind: "uni-error", M: BaseMapBits, Frac: frac})
+		add(Cell{Kind: "uni-timing", M: BaseMapBits, Frac: frac})
+	}
+	if g.Extras {
+		split(BaseMapBits, BaseDataFrac) // the column every extra is compared against
+		for _, x := range extrasConfigs() {
+			add(Cell{Kind: x.kind, Custom: x.tag})
 		}
-		for _, frac := range g.DataFracs {
-			split(BaseMapBits, frac)
-		}
-		for _, frac := range g.UniFracs {
-			frac := frac
-			variant(fmt.Sprintf("%s/uni/data%g/error", name, frac), func(ctx context.Context) error {
-				_, err := r.UnifiedErrorContext(ctx, name, BaseMapBits, frac)
-				return err
-			})
-			variant(fmt.Sprintf("%s/uni/data%g/timing", name, frac), func(ctx context.Context) error {
-				_, err := r.UnifiedTimingContext(ctx, name, BaseMapBits, frac)
-				return err
-			})
-		}
-		if g.Extras {
-			split(BaseMapBits, BaseDataFrac) // the column every extra is compared against
-			for _, x := range extrasConfigs() {
-				x := x
-				if x.timing {
-					variant(fmt.Sprintf("%s/custom/%s/timing", name, x.tag), func(ctx context.Context) error {
-						_, err := r.customTimingContext(ctx, name, x.cfg, x.tag)
-						return err
-					})
-				} else {
-					variant(fmt.Sprintf("%s/custom/%s/error", name, x.tag), func(ctx context.Context) error {
-						_, err := r.customErrorContext(ctx, name, x.cfg, x.tag)
-						return err
-					})
-				}
-			}
-		}
-		if g.Faults || g.Quality {
-			for _, org := range FaultOrgs {
-				org := org
-				for _, rate := range r.faultRates() {
-					rate := rate
-					variant(fmt.Sprintf("%s/fault/%s/%g", name, org, rate), func(ctx context.Context) error {
-						_, err := r.FaultErrorContext(ctx, name, org, rate)
-						return err
-					})
-				}
-			}
-		}
-		if g.Quality {
-			for _, org := range GuardedOrgs {
-				org := org
-				for _, rate := range r.faultRates() {
-					rate := rate
-					variant(fmt.Sprintf("%s/quality/%s/%g/error", name, org, rate), func(ctx context.Context) error {
-						_, err := r.QualityErrorContext(ctx, name, org, rate)
-						return err
-					})
-					variant(fmt.Sprintf("%s/quality/%s/%g/time-off", name, org, rate), func(ctx context.Context) error {
-						_, err := r.QualityTimingContext(ctx, name, org, rate, false)
-						return err
-					})
-					variant(fmt.Sprintf("%s/quality/%s/%g/time-on", name, org, rate), func(ctx context.Context) error {
-						_, err := r.QualityTimingContext(ctx, name, org, rate, true)
-						return err
-					})
-				}
+	}
+	if g.Faults || g.Quality {
+		for _, org := range FaultOrgs {
+			for _, rate := range r.faultRates() {
+				add(Cell{Kind: "fault-error", Org: org, Rate: rate})
 			}
 		}
 	}
-	return r.runTasks(ctx, tasks)
+	if g.Quality {
+		for _, org := range GuardedOrgs {
+			for _, rate := range r.faultRates() {
+				add(Cell{Kind: "quality-error", Org: org, Rate: rate})
+				add(Cell{Kind: "quality-timing", Org: org, Rate: rate})
+				add(Cell{Kind: "quality-timing", Org: org, Rate: rate, Guarded: true})
+			}
+		}
+	}
+	return cells
 }
 
 // runTasks drains a task graph through a bounded worker pool: tasks with no

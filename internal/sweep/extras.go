@@ -2,24 +2,22 @@ package sweep
 
 import (
 	"context"
-	"fmt"
 
 	"doppelganger/internal/approx"
 	"doppelganger/internal/core"
-	"doppelganger/internal/timesim"
-	"doppelganger/internal/workloads"
 )
 
 // extraConfig is one extension configuration the Extras table evaluates;
-// timing selects which simulator (and which memo cache) the run uses.
+// kind is the custom cell kind that measures it.
 type extraConfig struct {
-	tag    string
-	cfg    core.Config
-	timing bool
+	tag  string
+	cfg  core.Config
+	kind string
 }
 
 // extrasConfigs returns the extension configurations at the base geometry
-// (14-bit map, 1/4 data array); shared by Extras and the engine grid.
+// (14-bit map, 1/4 data array); shared by Extras, the engine grid and the
+// custom cells' builder.
 func extrasConfigs() []extraConfig {
 	base := SplitConfig(BaseMapBits, BaseDataFrac)
 	minmax := base
@@ -32,10 +30,10 @@ func extrasConfigs() []extraConfig {
 	compressed.CompressedData = true
 	compressed.CompressBudget = 0.5
 	return []extraConfig{
-		{tag: "minmax", cfg: minmax},
-		{tag: "avgonly", cfg: avgonly},
-		{tag: "aware", cfg: aware, timing: true},
-		{tag: "compressed", cfg: compressed, timing: true},
+		{tag: "minmax", cfg: minmax, kind: "custom-error"},
+		{tag: "avgonly", cfg: avgonly, kind: "custom-error"},
+		{tag: "aware", cfg: aware, kind: "custom-timing"},
+		{tag: "compressed", cfg: compressed, kind: "custom-timing"},
 	}
 }
 
@@ -60,12 +58,7 @@ func (r *Runner) Extras() (*Table, error) {
 		},
 	}
 
-	xs := extrasConfigs()
-	byTag := map[string]extraConfig{}
-	for _, x := range xs {
-		byTag[x.tag] = x
-	}
-
+	ctx := context.Background()
 	sums := make([]float64, 6)
 	for _, name := range r.Benchmarks() {
 		a, err := r.Baseline(name)
@@ -76,11 +69,11 @@ func (r *Runner) Extras() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		minmaxErr, err := r.customError(name, byTag["minmax"].cfg, "minmax")
+		minmaxErr, err := r.cellError(ctx, Cell{Kind: "custom-error", Bench: name, Custom: "minmax"})
 		if err != nil {
 			return nil, err
 		}
-		avgonlyErr, err := r.customError(name, byTag["avgonly"].cfg, "avgonly")
+		avgonlyErr, err := r.cellError(ctx, Cell{Kind: "custom-error", Bench: name, Custom: "avgonly"})
 		if err != nil {
 			return nil, err
 		}
@@ -88,11 +81,11 @@ func (r *Runner) Extras() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		awareTime, err := r.customTiming(name, byTag["aware"].cfg, "aware")
+		awareTime, err := r.cellTiming(ctx, Cell{Kind: "custom-timing", Bench: name, Custom: "aware"})
 		if err != nil {
 			return nil, err
 		}
-		compTime, err := r.customTiming(name, byTag["compressed"].cfg, "compressed")
+		compTime, err := r.cellTiming(ctx, Cell{Kind: "custom-timing", Bench: name, Custom: "compressed"})
 		if err != nil {
 			return nil, err
 		}
@@ -112,58 +105,4 @@ func (r *Runner) Extras() (*Table, error) {
 	t.AddRow("average", pct(sums[0]/n), pct(sums[1]/n), pct(sums[2]/n),
 		norm(sums[3]/n), norm(sums[4]/n), norm(sums[5]/n))
 	return t, nil
-}
-
-// customError runs the split organization with an explicit Doppelgänger
-// configuration and measures output error.
-func (r *Runner) customError(name string, cfg core.Config, tag string) (float64, error) {
-	return r.customErrorContext(context.Background(), name, cfg, tag)
-}
-
-func (r *Runner) customErrorContext(ctx context.Context, name string, cfg core.Config, tag string) (float64, error) {
-	key := fmt.Sprintf("custom/%s/%s", name, tag)
-	return r.errDo(key, func() (float64, error) {
-		a, err := r.BaselineContext(ctx, name)
-		if err != nil {
-			return 0, err
-		}
-		r.logf("[%s] custom functional run (%s)", name, tag)
-		child := r.instrument()
-		run, err := r.funcRun(ctx, funcReq{
-			key:  key,
-			name: name,
-			llcb: workloads.CustomSplitBuilder(cfg),
-			opt:  workloads.RunOptions{Cores: r.Cores, Metrics: child},
-			fast: true,
-		})
-		if err != nil {
-			return 0, err
-		}
-		r.collect(key+"/func", child)
-		return a.bench.Error(a.output, run.Output), nil
-	})
-}
-
-// customTiming replays the benchmark's traces against the split
-// organization with an explicit Doppelgänger configuration.
-func (r *Runner) customTiming(name string, cfg core.Config, tag string) (*timesim.Result, error) {
-	return r.customTimingContext(context.Background(), name, cfg, tag)
-}
-
-func (r *Runner) customTimingContext(ctx context.Context, name string, cfg core.Config, tag string) (*timesim.Result, error) {
-	key := fmt.Sprintf("custom/%s/%s", name, tag)
-	return r.timeDo(key, func() (*timesim.Result, error) {
-		a, err := r.BaselineContext(ctx, name)
-		if err != nil {
-			return nil, err
-		}
-		r.logf("[%s] custom timing run (%s)", name, tag)
-		child := r.instrument()
-		res, err := a.replay(ctx, workloads.CustomSplitBuilder(cfg), r.timesimConfigFor(key+"/timing", child))
-		if err != nil {
-			return nil, err
-		}
-		r.collect(key+"/timing", child)
-		return res, nil
-	})
 }

@@ -3,9 +3,6 @@ package sweep
 import (
 	"context"
 	"fmt"
-
-	"doppelganger/internal/faults"
-	"doppelganger/internal/workloads"
 )
 
 // DefaultFaultRates are the per-access fault probabilities the fault sweep
@@ -19,19 +16,6 @@ var DefaultFaultRates = []float64{1e-6, 1e-5, 1e-4}
 // base configuration, and uniDoppelgänger at its Table 1 half-capacity
 // point.
 var FaultOrgs = []string{"baseline", "doppel", "uni"}
-
-// faultBuilder maps an organization name to its LLC builder.
-func faultBuilder(org string) (workloads.LLCBuilder, error) {
-	switch org {
-	case "baseline":
-		return workloads.BaselineBuilder(2<<20, 16), nil
-	case "doppel":
-		return workloads.SplitBuilder(BaseMapBits, BaseDataFrac), nil
-	case "uni":
-		return workloads.UnifiedBuilder(BaseMapBits, 0.5), nil
-	}
-	return nil, fmt.Errorf("sweep: unknown fault-sweep organization %q", org)
-}
 
 // faultRates returns the sweep's configured rates.
 func (r *Runner) faultRates() []float64 {
@@ -48,45 +32,7 @@ func (r *Runner) faultRates() []float64 {
 // the gang scheduler, so the fault sites — and therefore the error — are
 // bit-identical at any worker count.
 func (r *Runner) FaultError(name, org string, rate float64) (float64, error) {
-	return r.FaultErrorContext(context.Background(), name, org, rate)
-}
-
-// FaultErrorContext is FaultError under a cancellable context.
-func (r *Runner) FaultErrorContext(ctx context.Context, name, org string, rate float64) (float64, error) {
-	key := fmt.Sprintf("fault/%s/%s/%g", org, name, rate)
-	return r.errDo(key, func() (float64, error) {
-		builder, err := faultBuilder(org)
-		if err != nil {
-			return 0, err
-		}
-		a, err := r.baselineScore(ctx, name)
-		if err != nil {
-			return 0, err
-		}
-		r.logf("[%s] fault functional run (%s, rate %g)", name, org, rate)
-		seed := faults.Derive(r.FaultSeed, key)
-		inj := faults.New(faults.Config{
-			Seed:  seed,
-			Model: r.FaultModel,
-			Rate:  rate,
-		})
-		child := r.instrument()
-		inj.AttachMetrics(child)
-		run, err := r.funcRun(ctx, funcReq{
-			key:   key,
-			name:  name,
-			extra: fmt.Sprintf("|fseed=%d|fmodel=%s", r.FaultSeed, r.FaultModel),
-			seed:  seed,
-			llcb:  builder,
-			opt:   workloads.RunOptions{Cores: r.Cores, Metrics: child, Faults: inj},
-			fast:  true,
-		})
-		if err != nil {
-			return 0, err
-		}
-		r.collect(key+"/func", child)
-		return a.bench.Error(a.out, run.Output), nil
-	})
+	return r.cellError(context.Background(), Cell{Kind: "fault-error", Bench: name, Org: org, Rate: rate})
 }
 
 // FaultSweep renders the output-error-vs-fault-rate table: for every

@@ -5,10 +5,8 @@ import (
 	"fmt"
 	"math"
 
-	"doppelganger/internal/faults"
 	"doppelganger/internal/quality"
 	"doppelganger/internal/timesim"
-	"doppelganger/internal/workloads"
 )
 
 // The quality sweep's default guard knobs: a 5% output-error budget (the
@@ -81,82 +79,41 @@ func (r *Runner) canaryRate() float64 {
 	return DefaultCanaryRate
 }
 
-// qualityDo memoizes a guarded-run computation and checkpoints successes.
-func (r *Runner) qualityDo(key string, compute func() (*QualityOutcome, error)) (*QualityOutcome, error) {
-	v, err := r.qualityCache.Do(key, compute)
-	if err == nil && r.Checkpoint != nil {
-		r.Checkpoint.SaveQuality(key, v)
-	}
-	return v, err
-}
-
-// newGuard builds one run's quality controller from the Runner's knobs,
-// seeded from (QualitySeed, task key) so canary sites — like fault sites —
-// are bit-identical at any worker count.
-func (r *Runner) newGuard(key string) (*quality.Controller, error) {
-	return quality.New(quality.Config{
-		Seed:       faults.Derive(r.QualitySeed, key),
-		Budget:     r.qualityBudget(),
-		CanaryRate: r.canaryRate(),
-	})
-}
-
 // QualityError runs one benchmark on one guarded organization under fault
 // injection and reports the guarded outcome. The injector is seeded from
 // the SAME key as the unguarded FaultError run, so until the breaker first
 // trips both runs see the identical fault stream — the guard-on and
 // guard-off columns differ only by the guard's interventions.
 func (r *Runner) QualityError(name, org string, rate float64) (*QualityOutcome, error) {
-	return r.QualityErrorContext(context.Background(), name, org, rate)
+	return r.guardedError(context.Background(), Cell{Kind: "quality-error", Bench: name, Org: org, Rate: rate})
 }
 
-// QualityErrorContext is QualityError under a cancellable context.
-func (r *Runner) QualityErrorContext(ctx context.Context, name, org string, rate float64) (*QualityOutcome, error) {
-	key := fmt.Sprintf("quality/%s/%s/%g", org, name, rate)
-	return r.qualityDo(key, func() (*QualityOutcome, error) {
-		builder, err := faultBuilder(org)
+// QualityTiming replays one benchmark's traces against a guarded (or, with
+// guarded false, merely faulted) organization, for the runtime cost of
+// graceful degradation. Both modes derive the injector from the same key,
+// so they replay the identical fault stream.
+func (r *Runner) QualityTiming(name, org string, rate float64, guarded bool) (*timesim.Result, error) {
+	return r.cellTiming(context.Background(), Cell{Kind: "quality-timing", Bench: name, Org: org, Rate: rate, Guarded: guarded})
+}
+
+// guardedError is a quality-error cell: the functional-error path under
+// the guard, reported with the guard's estimate and breaker history.
+//
+// It is not a fast cell: the outcome needs the guard's breaker history, so
+// a warm cache replays the stream through a fresh hierarchy with the
+// identically seeded injector and guard attached. Both draw per LLC
+// operation, and replay preserves the exact operation sequence, so the
+// guard relives the live run decision for decision.
+func (r *Runner) guardedError(ctx context.Context, c Cell) (*QualityOutcome, error) {
+	key := c.memoKey()
+	q, err := r.qualityCache.Do(key, func() (*QualityOutcome, error) {
+		v, qc, err := r.functional(ctx, c)
 		if err != nil {
 			return nil, err
 		}
-		a, err := r.baselineScore(ctx, name)
-		if err != nil {
-			return nil, err
-		}
-		r.logf("[%s] guarded functional run (%s, rate %g, budget %g)", name, org, rate, r.qualityBudget())
-		seed := faults.Derive(r.FaultSeed, fmt.Sprintf("fault/%s/%s/%g", org, name, rate))
-		inj := faults.New(faults.Config{
-			Seed:  seed,
-			Model: r.FaultModel,
-			Rate:  rate,
-		})
-		qc, err := r.newGuard(key)
-		if err != nil {
-			return nil, err
-		}
-		child := r.instrument()
-		inj.AttachMetrics(child)
-		qc.AttachMetrics(child)
-		// Not a fast cell: the outcome needs the guard's breaker history, so
-		// a warm cache replays the stream through a fresh hierarchy with this
-		// identically-seeded injector and guard attached — both draw per LLC
-		// operation, and replay preserves the exact operation sequence, so
-		// the guard relives the live run decision for decision.
-		run, err := r.funcRun(ctx, funcReq{
-			key:  key,
-			name: name,
-			extra: fmt.Sprintf("|fseed=%d|fmodel=%s|qseed=%d|budget=%g|canary=%g",
-				r.FaultSeed, r.FaultModel, r.QualitySeed, r.qualityBudget(), r.canaryRate()),
-			seed: seed,
-			llcb: builder,
-			opt:  workloads.RunOptions{Cores: r.Cores, Metrics: child, Faults: inj, Quality: qc},
-		})
-		if err != nil {
-			return nil, err
-		}
-		r.collect(key+"/func", child)
 		s := qc.Stats()
 		return &QualityOutcome{
-			TrueErrorBits: math.Float64bits(a.bench.Error(a.out, run.Output)),
+			TrueErrorBits: math.Float64bits(v),
 			EstimateBits:  math.Float64bits(qc.Estimate()),
 			FinalState:    qc.State(),
 			Trips:         s.Trips,
@@ -168,56 +125,10 @@ func (r *Runner) QualityErrorContext(ctx context.Context, name, org string, rate
 			Transitions:   qc.Transitions(),
 		}, nil
 	})
-}
-
-// QualityTiming replays one benchmark's traces against a guarded (or, with
-// guarded false, merely faulted) organization, for the runtime cost of
-// graceful degradation. Both modes derive the injector from the same key,
-// so they replay the identical fault stream.
-func (r *Runner) QualityTiming(name, org string, rate float64, guarded bool) (*timesim.Result, error) {
-	return r.QualityTimingContext(context.Background(), name, org, rate, guarded)
-}
-
-// QualityTimingContext is QualityTiming under a cancellable context.
-func (r *Runner) QualityTimingContext(ctx context.Context, name, org string, rate float64, guarded bool) (*timesim.Result, error) {
-	mode := "time-off"
-	if guarded {
-		mode = "time-on"
+	if err == nil && r.Checkpoint != nil {
+		r.Checkpoint.SaveQuality(key, q)
 	}
-	key := fmt.Sprintf("quality/%s/%s/%g/%s", org, name, rate, mode)
-	return r.timeDo(key, func() (*timesim.Result, error) {
-		builder, err := faultBuilder(org)
-		if err != nil {
-			return nil, err
-		}
-		a, err := r.BaselineContext(ctx, name)
-		if err != nil {
-			return nil, err
-		}
-		r.logf("[%s] quality timing run (%s, rate %g, guard %v)", name, org, rate, guarded)
-		child := r.instrument()
-		cfg := r.timesimConfigFor(key+"/timing", child)
-		cfg.Faults = faults.New(faults.Config{
-			Seed:  faults.Derive(r.FaultSeed, fmt.Sprintf("quality/%s/%s/%g/time", org, name, rate)),
-			Model: r.FaultModel,
-			Rate:  rate,
-		})
-		cfg.Faults.AttachMetrics(child)
-		if guarded {
-			qc, err := r.newGuard(key)
-			if err != nil {
-				return nil, err
-			}
-			qc.AttachMetrics(child)
-			cfg.Quality = qc
-		}
-		res, err := a.replay(ctx, builder, cfg)
-		if err != nil {
-			return nil, err
-		}
-		r.collect(key+"/timing", child)
-		return res, nil
-	})
+	return q, err
 }
 
 // QualitySweep renders the quality-guard tables: true output error with the
@@ -287,7 +198,7 @@ func (r *Runner) QualitySweep() (errT, runT *Table, err error) {
 					pct(q.CanaryFraction()), pct(q.BypassFraction()),
 					fmt.Sprintf("%d", q.Trips), q.FinalState.String())
 
-				base, err := r.BaselineContext(context.Background(), name)
+				base, err := r.Baseline(name)
 				if err != nil {
 					return nil, nil, err
 				}

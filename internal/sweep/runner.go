@@ -11,6 +11,7 @@ import (
 	"doppelganger/internal/faults"
 	"doppelganger/internal/memdata"
 	"doppelganger/internal/metrics"
+	"doppelganger/internal/quality"
 	"doppelganger/internal/singleflight"
 	"doppelganger/internal/stats"
 	"doppelganger/internal/timesim"
@@ -24,9 +25,9 @@ import (
 // approximate functional/timing runs per configuration.
 //
 // A Runner is safe for concurrent use: the memo caches are singleflight, so
-// concurrent callers of Baseline / SplitError / SplitTiming / UnifiedError /
-// UnifiedTiming each trigger exactly one simulation per key, and log lines
-// are serialized. Prewarm fans the whole experiment grid out over a worker
+// concurrent Runs of one Cell (and the typed accessors the table builders
+// call) trigger exactly one simulation per key, and log lines are
+// serialized. Prewarm fans the whole experiment grid out over a worker
 // pool; the table builders then render from warm caches in deterministic
 // benchmark order.
 type Runner struct {
@@ -34,8 +35,6 @@ type Runner struct {
 	Scale float64
 	// Cores is the CMP size (Table 1: 4).
 	Cores int
-	// SnapshotEvery controls LLC content sampling (fills per snapshot).
-	SnapshotEvery int
 	// Log, when non-nil, receives progress lines.
 	Log io.Writer
 	// Only, when non-empty, restricts the suite to the named benchmarks
@@ -69,12 +68,10 @@ type Runner struct {
 
 	// TraceDir, when non-empty, enables the persistent trace cache: every
 	// functional cell records a capture file there on its first live run and
-	// is replayed from it on later sweeps (see tracecache.go). TraceCapture
-	// forces re-recording even when a valid capture exists; TraceReplay
+	// is replayed from it on later sweeps (see tracecache.go). TraceReplay
 	// forbids kernel execution, failing any cell without a valid capture.
-	TraceDir     string
-	TraceCapture bool
-	TraceReplay  bool
+	TraceDir    string
+	TraceReplay bool
 	// TraceFS, when non-nil, replaces the real filesystem under the trace
 	// cache — the fault-injection seam chaos tests drive. nil means the OS.
 	TraceFS trace.FS
@@ -134,17 +131,20 @@ func (a *baseArtifacts) replay(ctx context.Context, llcb workloads.LLCBuilder, c
 	return timesim.RunContext(ctx, a.recorder, a.initialMem, a.annotations, llcb, cfg)
 }
 
+// snapshotEvery is how many LLC fills the baseline run makes between two
+// snapshots of the LLC's contents.
+const snapshotEvery = 20000
+
 // NewRunner builds a Runner at the given workload scale.
 func NewRunner(scale float64) *Runner {
 	return &Runner{
-		Scale:         scale,
-		Cores:         4,
-		SnapshotEvery: 20000,
-		base:          singleflight.New[*baseArtifacts](),
-		baseOut:       singleflight.New[*baseScore](),
-		errCache:      singleflight.New[float64](),
-		timeCache:     singleflight.New[*timesim.Result](),
-		qualityCache:  singleflight.New[*QualityOutcome](),
+		Scale:        scale,
+		Cores:        4,
+		base:         singleflight.New[*baseArtifacts](),
+		baseOut:      singleflight.New[*baseScore](),
+		errCache:     singleflight.New[float64](),
+		timeCache:    singleflight.New[*timesim.Result](),
+		qualityCache: singleflight.New[*QualityOutcome](),
 	}
 }
 
@@ -194,25 +194,6 @@ func (r *Runner) Benchmarks() []string {
 	return names
 }
 
-// errDo memoizes an output-error computation and, when a checkpoint is
-// attached, persists every success so a resumed run skips the key.
-func (r *Runner) errDo(key string, compute func() (float64, error)) (float64, error) {
-	v, err := r.errCache.Do(key, compute)
-	if err == nil && r.Checkpoint != nil {
-		r.Checkpoint.SaveError(key, v)
-	}
-	return v, err
-}
-
-// timeDo is errDo for timing results.
-func (r *Runner) timeDo(key string, compute func() (*timesim.Result, error)) (*timesim.Result, error) {
-	v, err := r.timeCache.Do(key, compute)
-	if err == nil && r.Checkpoint != nil {
-		r.Checkpoint.SaveTiming(key, v)
-	}
-	return v, err
-}
-
 // Baseline returns (running once) the precise baseline artifacts for a
 // benchmark: functional run with traces and snapshot analysis, plus the
 // baseline timing result. Unknown benchmark names return an error rather
@@ -240,18 +221,14 @@ func (r *Runner) BaselineContext(ctx context.Context, name string) (*baseArtifac
 			CompareM:           14,
 		})
 		child := r.instrument()
-		run, err := r.funcRun(ctx, funcReq{
-			key:  "base/" + name,
-			name: name,
-			llcb: workloads.BaselineBuilder(2<<20, 16),
-			opt: workloads.RunOptions{
-				Cores:         r.Cores,
-				Record:        true,
-				SnapshotEvery: r.SnapshotEvery,
-				SnapshotFn:    an.Observe,
-				Metrics:       child,
-			},
-		})
+		llcb := workloads.BaselineBuilder(2<<20, 16)
+		run, err := r.funcRun(ctx, Cell{Kind: "baseline-timing", Bench: name}, llcb, workloads.RunOptions{
+			Cores:         r.Cores,
+			Record:        true,
+			SnapshotEvery: snapshotEvery,
+			SnapshotFn:    an.Observe,
+			Metrics:       child,
+		}, false)
 		if err != nil {
 			return nil, err
 		}
@@ -267,23 +244,12 @@ func (r *Runner) BaselineContext(ctx context.Context, name string) (*baseArtifac
 			annotations: run.Annotations,
 			analyzer:    an,
 		}
-		if a.timing, err = a.replay(ctx, workloads.BaselineBuilder(2<<20, 16), r.timesimConfigFor(tkey, tchild)); err != nil {
+		if a.timing, err = a.replay(ctx, llcb, r.timesimConfigFor(tkey, tchild)); err != nil {
 			return nil, err
 		}
 		r.collect(tkey, tchild)
 		return a, nil
 	})
-}
-
-// BaselineTimingContext exposes the benchmark's precise baseline timing run
-// (the denominator of every normalized-runtime column) without the rest of
-// the baseline artifacts; the sweep server serves it as a job kind.
-func (r *Runner) BaselineTimingContext(ctx context.Context, name string) (*timesim.Result, error) {
-	a, err := r.BaselineContext(ctx, name)
-	if err != nil {
-		return nil, err
-	}
-	return a.timing, nil
 }
 
 // baselineScore returns the benchmark instance and precise baseline output
@@ -294,10 +260,9 @@ func (r *Runner) BaselineTimingContext(ctx context.Context, name string) (*times
 // run's, so the full baseline replay (hierarchy rebuild, snapshot analysis,
 // timing simulation) is skipped for a cell that arrives before its
 // benchmark's timing cells. Any miss (cold directory, quarantined or
-// unreadable capture) falls back to the complete baseline artifacts, as
-// does a forced re-record.
+// unreadable capture) falls back to the complete baseline artifacts.
 func (r *Runner) baselineScore(ctx context.Context, name string) (*baseScore, error) {
-	if r.TraceDir == "" || r.TraceCapture {
+	if r.TraceDir == "" {
 		a, err := r.BaselineContext(ctx, name)
 		if err != nil {
 			return nil, err
@@ -312,7 +277,7 @@ func (r *Runner) baselineScore(ctx context.Context, name string) (*baseScore, er
 		// Someone already paid for (or is computing) the full artifacts in
 		// this Runner; share them instead of reading the capture again.
 		if !r.base.Has(name) {
-			ident := workloads.CaptureIdent("base/"+name, r.Scale, r.Cores, "")
+			ident, _ := r.captureIdent(Cell{Kind: "baseline-timing", Bench: name})
 			if out := r.traceGateway().LoadOutput(ident, r.Cores); out != nil {
 				return &baseScore{bench: f.New(r.Scale), out: out}, nil
 			}
@@ -348,113 +313,137 @@ func (r *Runner) timesimConfigFor(label string, reg *metrics.Registry) timesim.C
 // SplitError measures application output error for the split organization
 // with map size m and data fraction frac (Figs. 9a, 10a).
 func (r *Runner) SplitError(name string, m int, frac float64) (float64, error) {
-	return r.SplitErrorContext(context.Background(), name, m, frac)
-}
-
-// SplitErrorContext is SplitError under a cancellable context.
-func (r *Runner) SplitErrorContext(ctx context.Context, name string, m int, frac float64) (float64, error) {
-	key := fmt.Sprintf("split/%s/%d/%g", name, m, frac)
-	return r.errDo(key, func() (float64, error) {
-		a, err := r.baselineScore(ctx, name)
-		if err != nil {
-			return 0, err
-		}
-		r.logf("[%s] split functional run (M=%d, data %g)", name, m, frac)
-		child := r.instrument()
-		run, err := r.funcRun(ctx, funcReq{
-			key:  key,
-			name: name,
-			llcb: workloads.SplitBuilder(m, frac),
-			opt:  workloads.RunOptions{Cores: r.Cores, Metrics: child},
-			fast: true,
-		})
-		if err != nil {
-			return 0, err
-		}
-		r.collect(key+"/func", child)
-		return a.bench.Error(a.out, run.Output), nil
-	})
+	return r.cellError(context.Background(), Cell{Kind: "split-error", Bench: name, M: m, Frac: frac})
 }
 
 // UnifiedError is SplitError for the uniDoppelgänger organization
 // (Fig. 14a); frac is relative to the baseline LLC capacity.
 func (r *Runner) UnifiedError(name string, m int, frac float64) (float64, error) {
-	return r.UnifiedErrorContext(context.Background(), name, m, frac)
-}
-
-// UnifiedErrorContext is UnifiedError under a cancellable context.
-func (r *Runner) UnifiedErrorContext(ctx context.Context, name string, m int, frac float64) (float64, error) {
-	key := fmt.Sprintf("uni/%s/%d/%g", name, m, frac)
-	return r.errDo(key, func() (float64, error) {
-		a, err := r.baselineScore(ctx, name)
-		if err != nil {
-			return 0, err
-		}
-		r.logf("[%s] unified functional run (M=%d, data %g)", name, m, frac)
-		child := r.instrument()
-		run, err := r.funcRun(ctx, funcReq{
-			key:  key,
-			name: name,
-			llcb: workloads.UnifiedBuilder(m, frac),
-			opt:  workloads.RunOptions{Cores: r.Cores, Metrics: child},
-			fast: true,
-		})
-		if err != nil {
-			return 0, err
-		}
-		r.collect(key+"/func", child)
-		return a.bench.Error(a.out, run.Output), nil
-	})
+	return r.cellError(context.Background(), Cell{Kind: "uni-error", Bench: name, M: m, Frac: frac})
 }
 
 // SplitTiming replays the benchmark's traces against the split organization
 // (Figs. 9b, 10b, 11, 12).
 func (r *Runner) SplitTiming(name string, m int, frac float64) (*timesim.Result, error) {
-	return r.SplitTimingContext(context.Background(), name, m, frac)
-}
-
-// SplitTimingContext is SplitTiming under a cancellable context.
-func (r *Runner) SplitTimingContext(ctx context.Context, name string, m int, frac float64) (*timesim.Result, error) {
-	key := fmt.Sprintf("split/%s/%d/%g", name, m, frac)
-	return r.timeDo(key, func() (*timesim.Result, error) {
-		a, err := r.BaselineContext(ctx, name)
-		if err != nil {
-			return nil, err
-		}
-		r.logf("[%s] split timing run (M=%d, data %g)", name, m, frac)
-		child := r.instrument()
-		res, err := a.replay(ctx, workloads.SplitBuilder(m, frac), r.timesimConfigFor(key+"/timing", child))
-		if err != nil {
-			return nil, err
-		}
-		r.collect(key+"/timing", child)
-		return res, nil
-	})
+	return r.cellTiming(context.Background(), Cell{Kind: "split-timing", Bench: name, M: m, Frac: frac})
 }
 
 // UnifiedTiming replays against uniDoppelgänger (Fig. 14b/c); frac is
 // relative to the baseline LLC capacity.
 func (r *Runner) UnifiedTiming(name string, m int, frac float64) (*timesim.Result, error) {
-	return r.UnifiedTimingContext(context.Background(), name, m, frac)
+	return r.cellTiming(context.Background(), Cell{Kind: "uni-timing", Bench: name, M: m, Frac: frac})
 }
 
-// UnifiedTimingContext is UnifiedTiming under a cancellable context.
-func (r *Runner) UnifiedTimingContext(ctx context.Context, name string, m int, frac float64) (*timesim.Result, error) {
-	key := fmt.Sprintf("uni/%s/%d/%g", name, m, frac)
-	return r.timeDo(key, func() (*timesim.Result, error) {
-		a, err := r.BaselineContext(ctx, name)
+// cellError is the functional-error path every -error cell but
+// quality-error takes: the cell's functional run, scored against the
+// precise baseline output.
+func (r *Runner) cellError(ctx context.Context, c Cell) (float64, error) {
+	key := c.memoKey()
+	v, err := r.errCache.Do(key, func() (float64, error) {
+		v, _, err := r.functional(ctx, c)
+		return v, err
+	})
+	if err == nil && r.Checkpoint != nil {
+		r.Checkpoint.SaveError(key, v)
+	}
+	return v, err
+}
+
+// functional runs the cell's functional simulation through the capture
+// gateway, with its fault injector and quality guard attached, and returns
+// its output error against the precise baseline output and the guard (nil
+// for an unguarded cell). An unguarded cell reads only the run's output,
+// so a warm trace directory serves it from its capture without rebuilding
+// a hierarchy.
+func (r *Runner) functional(ctx context.Context, c Cell) (float64, *quality.Controller, error) {
+	llcb, err := c.builder()
+	if err != nil {
+		return 0, nil, err
+	}
+	a, err := r.baselineScore(ctx, c.Bench)
+	if err != nil {
+		return 0, nil, err
+	}
+	r.logf("[%s] functional run %s", c.Bench, c.Key())
+	child := r.instrument()
+	opt := workloads.RunOptions{Cores: r.Cores, Metrics: child}
+	if opt.Faults, opt.Quality, err = r.attach(c, child); err != nil {
+		return 0, nil, err
+	}
+	run, err := r.funcRun(ctx, c, llcb, opt, opt.Quality == nil)
+	if err != nil {
+		return 0, nil, err
+	}
+	r.collect(c.memoKey()+"/func", child)
+	return a.bench.Error(a.out, run.Output), opt.Quality, nil
+}
+
+// cellTiming is the timing-replay path every -timing cell but the
+// baseline's takes: the baseline's recording replayed through the timing
+// model against the cell's organization, with a quality-timing cell's
+// injector and guard attached.
+func (r *Runner) cellTiming(ctx context.Context, c Cell) (*timesim.Result, error) {
+	key := c.memoKey()
+	res, err := r.timeCache.Do(key, func() (*timesim.Result, error) {
+		llcb, err := c.builder()
 		if err != nil {
 			return nil, err
 		}
-		r.logf("[%s] unified timing run (M=%d, data %g)", name, m, frac)
+		a, err := r.BaselineContext(ctx, c.Bench)
+		if err != nil {
+			return nil, err
+		}
+		r.logf("[%s] timing run %s", c.Bench, c.Key())
 		child := r.instrument()
-		res, err := a.replay(ctx, workloads.UnifiedBuilder(m, frac), r.timesimConfigFor(key+"/timing", child))
+		cfg := r.timesimConfigFor(key+"/timing", child)
+		if cfg.Faults, cfg.Quality, err = r.attach(c, child); err != nil {
+			return nil, err
+		}
+		res, err := a.replay(ctx, llcb, cfg)
 		if err != nil {
 			return nil, err
 		}
 		r.collect(key+"/timing", child)
 		return res, nil
 	})
+	if err == nil && r.Checkpoint != nil {
+		r.Checkpoint.SaveTiming(key, res)
+	}
+	return res, err
+}
+
+// attach builds one run's fault injector (fault and quality kinds) and
+// quality guard (guarded kinds), both counting into child. Each is seeded
+// from the Runner's seed and a string spelled from the cell alone, so
+// fault and canary sites are bit-identical at any worker count.
+func (r *Runner) attach(c Cell, child *metrics.Registry) (*faults.Injector, *quality.Controller, error) {
+	var inj *faults.Injector
+	if c.faulted() {
+		inj = faults.New(faults.Config{Seed: r.faultSeed(c), Model: r.FaultModel, Rate: c.Rate})
+		inj.AttachMetrics(child)
+	}
+	if !c.guarded() {
+		return inj, nil, nil
+	}
+	qc, err := quality.New(quality.Config{
+		Seed:       faults.Derive(r.QualitySeed, c.memoKey()),
+		Budget:     r.qualityBudget(),
+		CanaryRate: r.canaryRate(),
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	qc.AttachMetrics(child)
+	return inj, qc, nil
+}
+
+// faultSeed is the seed of the cell's fault injector (0 for a cell that
+// injects none).
+func (r *Runner) faultSeed(c Cell) uint64 {
+	if !c.faulted() {
+		return 0
+	}
+	return faults.Derive(r.FaultSeed, c.faultKey())
 }
 
 // SplitConfig returns the Doppelgänger core.Config the split organization

@@ -2,7 +2,8 @@
 // and figure (Table 2, Table 3, Figs. 2, 7–14), each running the required
 // functional and timing simulations and printing the same rows/series the
 // paper reports. A memoizing Runner shares baseline runs and traces across
-// experiments.
+// experiments. Every simulation it makes is one Cell (cell.go), computed by
+// Runner.Run through one functional path or one timing-replay path.
 package sweep
 
 import (

@@ -23,88 +23,76 @@ import (
 // -trace-replay, rejected with an actionable error) rather than silently
 // replayed.
 
-// funcReq describes one functional cell to funcRun: its memo key, the
-// benchmark, any identity the key doesn't already carry (seeds, budgets),
-// the LLC organization, and the run options. fast marks cells that consume
-// only the run's output: on a warm cache they are served straight from the
-// capture without rebuilding a hierarchy (their attachments see no traffic
-// and their metrics snapshots stay empty).
-type funcReq struct {
-	key   string
-	name  string
-	extra string // identity beyond key/scale/cores, "|k=v" formatted
-	seed  uint64 // recorded in the file header (0 when the cell is unseeded)
-	llcb  workloads.LLCBuilder
-	opt   workloads.RunOptions
-	fast  bool
-}
-
 // traceGateway is the Runner's trace directory as the shared capture
 // gateway sees it.
 func (r *Runner) traceGateway() *workloads.CaptureGateway {
 	return &workloads.CaptureGateway{
 		Dir:     r.TraceDir,
 		FS:      r.TraceFS,
-		Capture: r.TraceCapture,
 		Replay:  r.TraceReplay,
 		Metrics: r.Metrics,
 		Logf:    r.logf,
 	}
 }
 
-// CellCaptureIdent maps one sweep cell (the server's wire vocabulary) to
-// the identity of the capture its functional work replays. Timing cells
-// replay the benchmark's baseline recorder, so they map to the baseline
-// capture. ok is false for cells with no single capture (whole figures,
-// unknown kinds). perfbench's traced serve drive is its last caller.
-func (r *Runner) CellCaptureIdent(kind, bench, org string, m int, frac, rate float64) (string, bool) {
-	var key, extra string
-	switch kind {
-	case "split-error":
-		key = fmt.Sprintf("split/%s/%d/%g", bench, m, frac)
-	case "uni-error":
-		key = fmt.Sprintf("uni/%s/%d/%g", bench, m, frac)
-	case "fault-error":
-		key = fmt.Sprintf("fault/%s/%s/%g", org, bench, rate)
+// captureIdent is the identity of the capture a cell's functional work
+// replays: a functional cell's own, with the seeds and budgets its result
+// depends on beyond its key, and the baseline's for a timing cell, which
+// replays the baseline recorder. ok is false for a figure, which has no
+// single capture, and for an unknown kind.
+func (r *Runner) captureIdent(c Cell) (ident string, ok bool) {
+	var extra string
+	switch c.Kind {
+	case "split-error", "uni-error", "custom-error":
+	case "fault-error", "quality-error":
 		extra = fmt.Sprintf("|fseed=%d|fmodel=%s", r.FaultSeed, r.FaultModel)
-	case "quality-error":
-		key = fmt.Sprintf("quality/%s/%s/%g", org, bench, rate)
-		extra = fmt.Sprintf("|fseed=%d|fmodel=%s|qseed=%d|budget=%g|canary=%g",
-			r.FaultSeed, r.FaultModel, r.QualitySeed, r.qualityBudget(), r.canaryRate())
-	case "split-timing", "uni-timing", "baseline-timing", "quality-timing":
-		key = "base/" + bench
+		if c.Kind == "quality-error" {
+			extra += fmt.Sprintf("|qseed=%d|budget=%g|canary=%g", r.QualitySeed, r.qualityBudget(), r.canaryRate())
+		}
+	case "split-timing", "uni-timing", "custom-timing", "quality-timing", "baseline-timing":
+		c = Cell{Kind: "baseline-timing", Bench: c.Bench}
 	default:
 		return "", false
 	}
-	return workloads.CaptureIdent(key, r.Scale, r.Cores, extra), true
+	return workloads.CaptureIdent(c.memoKey(), r.Scale, r.Cores, extra), true
 }
 
-// funcRun is the gateway every functional cell goes through (see
+// CellCaptureIdent is captureIdent for the cell these fields name.
+// perfbench's traced serve drive is its last caller.
+func (r *Runner) CellCaptureIdent(kind, bench, org string, m int, frac, rate float64) (string, bool) {
+	return r.captureIdent(Cell{Kind: kind, Bench: bench, Org: org, M: m, Frac: frac, Rate: rate})
+}
+
+// funcRun is the gateway every functional run goes through (see
 // workloads.CaptureGateway): live without a trace directory, and with one,
-// replay of the cell's capture or a live run that records it.
+// replay of the cell's capture or a live run that records it. outputOnly
+// marks a run whose caller reads only the output: on a warm cache it is
+// served straight from the capture without rebuilding a hierarchy (its
+// attachments see no traffic and its metrics snapshots stay empty).
 //
 // funcRun keeps no memo of its own: every caller already runs inside the
 // singleflight memo of the cell the capture identity is built from, so a
 // capture is loaded (or recorded) once per cell computation. The cell memos
 // forget errors, so a retry after a failed live run re-records instead of
 // replaying a poisoned entry.
-func (r *Runner) funcRun(ctx context.Context, req funcReq) (*workloads.RunResult, error) {
-	f, err := workloads.ByName(req.name)
+func (r *Runner) funcRun(ctx context.Context, c Cell, llcb workloads.LLCBuilder, opt workloads.RunOptions, outputOnly bool) (*workloads.RunResult, error) {
+	f, err := workloads.ByName(c.Bench)
 	if err != nil {
 		return nil, err
 	}
+	ident, _ := r.captureIdent(c)
 	return r.traceGateway().Run(ctx, workloads.CaptureCell{
-		Key: req.key,
+		Key: c.memoKey(),
 		Header: trace.FileHeader{
-			Benchmark: req.name,
+			Benchmark: c.Bench,
 			Scale:     r.Scale,
 			Cores:     r.Cores,
-			Seed:      req.seed,
+			Seed:      r.faultSeed(c),
 			// Cells the CLI facade can also run (baseline, split, uni) use
 			// the same keys, so doppelsim and a sweep share captures in one
 			// directory.
-			ConfigKey: workloads.CaptureIdent(req.key, r.Scale, r.Cores, req.extra),
+			ConfigKey: ident,
 		},
-		OutputOnly: req.fast,
-	}, f.New(r.Scale), req.llcb, req.opt)
+		OutputOnly: outputOnly,
+	}, f.New(r.Scale), llcb, opt)
 }

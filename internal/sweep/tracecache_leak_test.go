@@ -10,6 +10,9 @@ import (
 	"time"
 )
 
+// kmeansSplit is the cell the leak tests storm.
+var kmeansSplit = Cell{Kind: "split-error", Bench: "kmeans", M: BaseMapBits, Frac: BaseDataFrac}
+
 // waitGoroutines polls until the goroutine count settles at or below the
 // budget, failing with a stack dump when it does not — the leak detector.
 func waitGoroutines(t *testing.T, budget int) {
@@ -50,9 +53,9 @@ func TestTraceCacheConcurrentCancelNoLeak(t *testing.T) {
 			}
 			// Errors are expected (canceled leaders fail their waiters); what
 			// must never happen is a hang or a wrong value.
-			v, err := r.SplitErrorContext(ctx, "kmeans", BaseMapBits, BaseDataFrac)
-			if err == nil && v < 0 {
-				t.Errorf("caller %d: negative error value %v", i, v)
+			res, err := r.Run(ctx, kmeansSplit)
+			if err == nil && res.Error < 0 {
+				t.Errorf("caller %d: negative error value %v", i, res.Error)
 			}
 		}(i)
 	}
@@ -64,12 +67,12 @@ func TestTraceCacheConcurrentCancelNoLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := r.SplitErrorContext(context.Background(), "kmeans", BaseMapBits, BaseDataFrac)
+	got, err := r.Run(context.Background(), kmeansSplit)
 	if err != nil {
 		t.Fatalf("live-context call after cancellation storm: %v", err)
 	}
-	if got != want {
-		t.Fatalf("post-storm value %v diverged from live %v", got, want)
+	if got.Error != want {
+		t.Fatalf("post-storm value %v diverged from live %v", got.Error, want)
 	}
 	waitGoroutines(t, before+2)
 }
@@ -92,7 +95,7 @@ func TestTraceCacheForgottenErrorUnderConcurrency(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err := r.SplitErrorContext(context.Background(), "kmeans", BaseMapBits, BaseDataFrac)
+			_, err := r.Run(context.Background(), kmeansSplit)
 			errs <- err
 		}()
 	}
@@ -109,7 +112,7 @@ func TestTraceCacheForgottenErrorUnderConcurrency(t *testing.T) {
 
 	// The forgotten error: recording mode must now run live and persist.
 	r.TraceReplay = false
-	if _, err := r.SplitErrorContext(context.Background(), "kmeans", BaseMapBits, BaseDataFrac); err != nil {
+	if _, err := r.Run(context.Background(), kmeansSplit); err != nil {
 		t.Fatalf("recording call after replay failures: %v", err)
 	}
 	ents, err := os.ReadDir(dir)

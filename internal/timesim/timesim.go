@@ -12,7 +12,6 @@ import (
 	"fmt"
 
 	"doppelganger/internal/approx"
-	"doppelganger/internal/cache"
 	"doppelganger/internal/core"
 	"doppelganger/internal/dram"
 	"doppelganger/internal/faults"
@@ -321,8 +320,7 @@ func RunContext(ctx context.Context, tr *trace.Recorder, initial *memdata.Store,
 
 	st := initial.Clone()
 	llc := llcb(st, ann)
-	hcfg := funcsim.Config{Cores: cfg.Cores, L1: l1Config(), L2: l2Config()}
-	h := funcsim.New(hcfg, llc, st, ann, nil)
+	h := funcsim.New(funcsim.Table1Config(cfg.Cores), llc, st, ann, nil)
 	h.AttachFaults(cfg.Faults)
 	h.AttachQuality(cfg.Quality)
 	if cfg.Trace != nil {
@@ -513,7 +511,3 @@ func RunContext(ctx context.Context, tr *trace.Recorder, initial *memdata.Store,
 	}
 	return res, nil
 }
-
-// The private-cache geometries of Table 1.
-func l1Config() cache.Config { return cache.Config{Name: "L1", SizeBytes: 16 << 10, Ways: 4} }
-func l2Config() cache.Config { return cache.Config{Name: "L2", SizeBytes: 128 << 10, Ways: 8} }

@@ -132,9 +132,9 @@ type CaptureGateway struct {
 	// filesystem under it (nil: the real OS).
 	Dir string
 	FS  trace.FS
-	// Capture re-records even over a valid capture; Replay forbids kernel
-	// execution, failing any run without a usable capture.
-	Capture, Replay bool
+	// Replay forbids kernel execution, failing any run without a usable
+	// capture.
+	Replay bool
 	// Metrics receives the trace.replays, trace.records, trace.quarantines
 	// and trace.degraded counts; Logf, when non-nil, a line per decision.
 	Metrics *metrics.Registry
@@ -177,45 +177,43 @@ func (g *CaptureGateway) Run(ctx context.Context, cell CaptureCell, b *Benchmark
 	name, ident, cores := cell.Header.Benchmark, cell.Header.ConfigKey, cell.Header.Cores
 	path := CapturePath(g.Dir, ident)
 	persist := true
-	if !g.Capture {
-		// Output-only runs never rebuild a hierarchy, so they load with the
-		// output-only decode, which skips materializing the memory image and
-		// trace streams.
-		c, outcome, err := loadCaptureRecover(fsys, g.Dir, path, ident, cores, cell.OutputOnly)
-		if g.Replay && outcome != loadOK {
-			if err == nil {
-				err = os.ErrNotExist
-			}
-			return nil, fmt.Errorf("workloads: -trace-replay: no usable capture for %s: %w", cell.Key, err)
+	// Output-only runs never rebuild a hierarchy, so they load with the
+	// output-only decode, which skips materializing the memory image and
+	// trace streams.
+	c, outcome, err := loadCaptureRecover(fsys, g.Dir, path, ident, cores, cell.OutputOnly)
+	if g.Replay && outcome != loadOK {
+		if err == nil {
+			err = os.ErrNotExist
 		}
-		switch outcome {
-		case loadOK:
-			g.logf("[%s] replaying capture %s (%s)", name, filepath.Base(path), cell.Key)
-			g.Metrics.Counter("trace.replays").Add(1)
-			if cell.OutputOnly {
-				return &RunResult{Output: c.Output}, nil
-			}
-			return ReplayFunctionalContext(ctx, b, c, llcb, opt)
-		case loadMiss:
-			// Cold cache: record below.
-		case loadQuarantined:
-			g.Metrics.Counter("trace.quarantines").Add(1)
-			g.logf("[%s] capture %s unusable (%v); re-recording", name, filepath.Base(path), err)
-		case loadUnavailable:
-			// The bytes may be fine but the I/O path is not: leave the
-			// file alone, run live, and don't trust the store with a
-			// new write either.
-			persist = false
-			g.Metrics.Counter("trace.degraded").Add(1)
-			g.logf("[%s] trace store unavailable (%v); running %s live unrecorded", name, err, cell.Key)
+		return nil, fmt.Errorf("workloads: -trace-replay: no usable capture for %s: %w", cell.Key, err)
+	}
+	switch outcome {
+	case loadOK:
+		g.logf("[%s] replaying capture %s (%s)", name, filepath.Base(path), cell.Key)
+		g.Metrics.Counter("trace.replays").Add(1)
+		if cell.OutputOnly {
+			return &RunResult{Output: c.Output}, nil
 		}
+		return ReplayFunctionalContext(ctx, b, c, llcb, opt)
+	case loadMiss:
+		// Cold cache: record below.
+	case loadQuarantined:
+		g.Metrics.Counter("trace.quarantines").Add(1)
+		g.logf("[%s] capture %s unusable (%v); re-recording", name, filepath.Base(path), err)
+	case loadUnavailable:
+		// The bytes may be fine but the I/O path is not: leave the
+		// file alone, run live, and don't trust the store with a
+		// new write either.
+		persist = false
+		g.Metrics.Counter("trace.degraded").Add(1)
+		g.logf("[%s] trace store unavailable (%v); running %s live unrecorded", name, err, cell.Key)
 	}
 	opt.Record = true
 	run, err := RunFunctionalContext(ctx, b, llcb, opt)
 	if err != nil {
 		return nil, err
 	}
-	c, err := CaptureOf(run, cell.Header)
+	c, err = CaptureOf(run, cell.Header)
 	if err != nil {
 		return nil, err
 	}
@@ -288,7 +286,7 @@ func ReplayFunctionalContext(ctx context.Context, b *Benchmark, cap *trace.Captu
 	}
 	st := cap.InitialMem.Clone()
 	llc := llcb(st, ann)
-	h := funcsim.New(HierConfig(opt.Cores), llc, st, ann, nil)
+	h := funcsim.New(funcsim.Table1Config(opt.Cores), llc, st, ann, nil)
 	defer h.PublishMetrics(opt.Metrics)
 	h.AttachFaults(opt.Faults)
 	h.AttachQuality(opt.Quality)

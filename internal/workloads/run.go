@@ -14,16 +14,6 @@ import (
 	"doppelganger/internal/trace"
 )
 
-// HierConfig returns the private-cache configuration of the paper's Table 1:
-// 16 KB 4-way L1 and 128 KB 8-way L2, per core.
-func HierConfig(cores int) funcsim.Config {
-	return funcsim.Config{
-		Cores: cores,
-		L1:    cache.Config{Name: "L1", SizeBytes: 16 << 10, Ways: 4},
-		L2:    cache.Config{Name: "L2", SizeBytes: 128 << 10, Ways: 8},
-	}
-}
-
 // LLCBuilder constructs an LLC organization over a backing store and the
 // workload's annotations.
 type LLCBuilder func(st *memdata.Store, ann *approx.Annotations) core.LLC
@@ -102,7 +92,7 @@ func RunFunctionalContext(ctx context.Context, b *Benchmark, llcb LLCBuilder, op
 		rec = trace.NewRecorder(opt.Cores)
 	}
 	llc := llcb(st, ann)
-	h := funcsim.New(HierConfig(opt.Cores), llc, st, ann, rec)
+	h := funcsim.New(funcsim.Table1Config(opt.Cores), llc, st, ann, rec)
 	// Deferred, so the registry gets what the run counted on every return
 	// path: after the final flush, or up to a cancellation.
 	defer h.PublishMetrics(opt.Metrics)
